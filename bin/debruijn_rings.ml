@@ -18,22 +18,65 @@ let d_arg =
 let n_arg =
   Arg.(required & opt (some int) None & info [ "n" ] ~docv:"N" ~doc:"Word length; the network has $(b,d^n) nodes.")
 
-let words_conv d n =
-  let p = Core.Word.params ~d ~n in
-  fun s ->
-    match Core.Word.of_string p s with
-    | w -> w
-    | exception _ -> failwith (Printf.sprintf "bad node %S (expected %d digits < %d)" s n d)
+(* Bad input is a usage error (exit 124) with a one-line message, not
+   an uncaught exception: d and n are checked into [Core.Word.params]
+   and every node or link string into its code, by [term_result']
+   terms that run before a subcommand does. *)
 
-let render p ring =
-  String.concat " " (List.map (Core.Word.to_string p) (Array.to_list ring))
+let params =
+  let check d n =
+    if d < 2 then Error (Printf.sprintf "-d %d: the alphabet size must be at least 2" d)
+    else if n < 1 then Error (Printf.sprintf "-n %d: the word length must be at least 1" n)
+    else
+      match Core.Word.params ~d ~n with
+      | p -> Ok p
+      | exception Invalid_argument _ ->
+          Error (Printf.sprintf "-d %d -n %d: the %d^%d nodes overflow an int" d n d n)
+  in
+  Term.(term_result' (const check $ d_arg $ n_arg))
+
+let word p s =
+  match Core.Word.of_string p s with
+  | w -> Ok w
+  | exception Invalid_argument _ ->
+      Error (Printf.sprintf "bad node %S (expected %d digits < %d)" s p.Core.Word.n p.Core.Word.d)
+
+let link node p s =
+  match String.split_on_char '-' s with
+  | [ u; v ] -> Result.bind (node p u) (fun u -> Result.map (fun v -> (u, v)) (node p v))
+  | _ -> Error (Printf.sprintf "bad edge %S (expected U-V)" s)
+
+let all parse p =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | s :: rest -> Result.bind (parse p s) (fun x -> go (x :: acc) rest)
+  in
+  go []
+
+(* [t] parsed against the checked params. *)
+let checked parse t = Term.(term_result' (const parse $ params $ t))
+
+(* Streams nodes to stdout through one reused chunk, [sep] between
+   them and a newline after: no per-node string, no list and no
+   whole-ring string. *)
+let print_nodes ?(sep = " ") write iter =
+  let w = Core.Word.Writer.create stdout in
+  let first = ref true in
+  iter (fun x ->
+      if !first then first := false else Core.Word.Writer.string w sep;
+      write w x);
+  Core.Word.Writer.string w "\n";
+  Core.Word.Writer.flush w
+
+let print_words ?sep p iter = print_nodes ?sep (fun w x -> Core.Word.Writer.word w p x) iter
+let print_ring p ring = print_words p (fun f -> Array.iter f ring)
 
 let ffc_cmd =
   let faults =
     Arg.(value & pos_all string [] & info [] ~docv:"FAULT" ~doc:"Faulty nodes as digit strings, e.g. 020 112.")
   in
-  let run d n fault_strs distributed domains trace campaign churn events trials seed fcounts =
-    let p = Core.Word.params ~d ~n in
+  let run p faults distributed domains trace campaign churn events trials seed fcounts =
+    let { Core.Word.d; n; _ } = p in
     if churn then begin
       Printf.printf
         "# churn campaign on B(%d,%d): %d trials x %d events per target, one live engine per domain\n"
@@ -74,7 +117,6 @@ let ffc_cmd =
         (Core.Ffc_campaign.run ~domains ~trials ~seed ?fs:fcounts ~d ~n ())
     end
     else begin
-    let faults = List.map (words_conv d n) fault_strs in
     let result =
       if distributed then
         Option.map
@@ -105,7 +147,7 @@ let ffc_cmd =
           (Array.length ring) p.Core.Word.size
           (Core.ring_length_guarantee ~d ~n ~f:(List.length faults))
           (List.length faults);
-        print_endline (render p ring)
+        print_ring p ring
     end
   in
   let distributed =
@@ -137,31 +179,25 @@ let ffc_cmd =
   in
   Cmd.v
     (Cmd.info "ffc" ~doc:"Fault-free ring under node failures (Chapter 2).")
-    Term.(const run $ d_arg $ n_arg $ faults $ distributed $ domains $ trace
+    Term.(const run $ params $ checked (all word) faults $ distributed $ domains $ trace
           $ campaign $ churn $ events $ trials $ seed $ fcounts)
-
-let parse_edge d n s =
-  match String.split_on_char '-' s with
-  | [ u; v ] -> (words_conv d n u, words_conv d n v)
-  | _ -> failwith (Printf.sprintf "bad edge %S (expected U-V)" s)
 
 let edge_cmd =
   let faults =
     Arg.(value & pos_all string [] & info [] ~docv:"EDGE" ~doc:"Faulty links as U-V, e.g. 01-12.")
   in
-  let run d n fault_strs =
-    let p = Core.Word.params ~d ~n in
-    let faults = List.map (parse_edge d n) fault_strs in
+  let run p faults =
+    let { Core.Word.d; n; _ } = p in
     Printf.printf "# tolerance MAX(psi-1, phi) = %d\n" (Core.edge_fault_tolerance d);
     match Core.hamiltonian_ring_avoiding_edge_faults ~d ~n ~faults with
     | None ->
         prerr_endline "no fault-free Hamiltonian ring found";
         exit 1
-    | Some ring -> print_endline (render p ring)
+    | Some ring -> print_ring p ring
   in
   Cmd.v
     (Cmd.info "edge" ~doc:"Hamiltonian ring under link failures (Chapter 3).")
-    Term.(const run $ d_arg $ n_arg $ faults)
+    Term.(const run $ params $ checked (all (link word)) faults)
 
 let dhc_cmd =
   let faults =
@@ -182,8 +218,8 @@ let dhc_cmd =
   let domains =
     Arg.(value & opt int 1 & info [ "domains" ] ~docv:"K" ~doc:"Parallelize campaign trials on $(docv) OCaml domains (statistics unchanged).")
   in
-  let run d n fault_strs campaign trials fmax seed domains =
-    let p = Core.Word.params ~d ~n in
+  let run p faults campaign trials fmax seed domains =
+    let { Core.Word.d; n; _ } = p in
     if campaign then begin
       Printf.printf "# campaign on B(%d,%d): %d trials per point, tolerance MAX(psi-1, phi) = %d\n"
         d n trials (Core.Psi.max_tolerance d);
@@ -197,7 +233,6 @@ let dhc_cmd =
         (Core.Campaign.run ~domains ~trials ~seed ?fmax ~d ~n ())
     end
     else begin
-      let faults = List.map (parse_edge d n) fault_strs in
       match Core.Edge_fault.best_hc_avoiding_stream ~d ~n ~faults with
       | None ->
           prerr_endline "no fault-free Hamiltonian ring found";
@@ -217,24 +252,24 @@ let dhc_cmd =
             "# streaming ring of B(%d,%d): %d nodes via %s, verified fault-free hamiltonian %b\n"
             d n st.Core.Stream.length route ok;
           if p.Core.Word.size <= 4096 then
-            print_endline (render p (Core.Stream.to_nodes st))
+            print_words p (Core.Stream.iter st)
     end
   in
   Cmd.v
     (Cmd.info "dhc" ~doc:"Streaming Chapter-3 engine: O(n)-memory fault-avoiding rings and edge-fault campaigns.")
-    Term.(const run $ d_arg $ n_arg $ faults $ campaign $ trials $ fmax $ seed $ domains)
+    Term.(const run $ params $ checked (all (link word)) faults $ campaign $ trials $ fmax $ seed $ domains)
 
 let disjoint_cmd =
-  let run d n =
-    let p = Core.Word.params ~d ~n in
+  let run p =
+    let { Core.Word.d; n; _ } = p in
     let rings = Core.disjoint_rings ~d ~n in
     Printf.printf "# %d edge-disjoint Hamiltonian rings (psi(%d) = %d)\n"
       (List.length rings) d (Core.Psi.psi d);
-    List.iter (fun r -> print_endline (render p r)) rings
+    List.iter (print_ring p) rings
   in
   Cmd.v
     (Cmd.info "disjoint" ~doc:"Edge-disjoint Hamiltonian rings of B(d,n).")
-    Term.(const run $ d_arg $ n_arg)
+    Term.(const run $ params)
 
 let count_cmd =
   let length =
@@ -243,7 +278,7 @@ let count_cmd =
   let weight =
     Arg.(value & opt (some int) None & info [ "weight" ] ~docv:"K" ~doc:"Restrict to nodes of weight $(docv).")
   in
-  let run d n length weight =
+  let run { Core.Word.d; n; _ } length weight =
     let c =
       match (length, weight) with
       | None, None -> Core.Count.total ~d ~n
@@ -256,7 +291,7 @@ let count_cmd =
   in
   Cmd.v
     (Cmd.info "count" ~doc:"Necklace counts (Chapter 4).")
-    Term.(const run $ d_arg $ n_arg $ length $ weight)
+    Term.(const run $ params $ length $ weight)
 
 let psi_cmd =
   let d_pos = Arg.(required & pos 0 (some int) None & info [] ~docv:"D") in
@@ -271,37 +306,46 @@ let butterfly_cmd =
     Arg.(value & pos_all string [] & info [] ~docv:"EDGE"
            ~doc:"Faulty butterfly links as L,COL-L,COL e.g. 0,010-1,110.")
   in
-  let run d n fault_strs =
+  (* A node L,COL as (level, column). *)
+  let node p part =
+    match String.split_on_char ',' part with
+    | [ l; c ] -> (
+        match int_of_string_opt l with
+        | Some l when l >= 0 && l < p.Core.Word.n -> Result.map (fun c -> (l, c)) (word p c)
+        | _ -> Error (Printf.sprintf "bad butterfly level %S (expected 0..%d)" l (p.Core.Word.n - 1)))
+    | _ -> Error (Printf.sprintf "bad butterfly node %S (expected L,COL)" part)
+  in
+  let links p strs =
+    if p.Core.Word.n < 2 then Error (Printf.sprintf "-n %d: a butterfly needs n >= 2" p.Core.Word.n)
+    else all (link node) p strs
+  in
+  let run p links =
+    let { Core.Word.d; n; _ } = p in
     let bf = Core.Butterfly_graph.create ~d ~n in
-    let parse s =
-      let node part =
-        match String.split_on_char ',' part with
-        | [ l; c ] ->
-            Core.Butterfly_graph.encode bf ~level:(int_of_string l)
-              ~column:(words_conv d n c)
-        | _ -> failwith (Printf.sprintf "bad butterfly node %S" part)
-      in
-      match String.split_on_char '-' s with
-      | [ u; v ] -> (node u, node v)
-      | _ -> failwith (Printf.sprintf "bad edge %S" s)
-    in
-    let faults = List.map parse fault_strs in
+    let encode (level, column) = Core.Butterfly_graph.encode bf ~level ~column in
+    let faults = List.map (fun (u, v) -> (encode u, encode v)) links in
     match Core.butterfly_ring_avoiding_edge_faults ~d ~n ~faults with
     | None ->
         prerr_endline "no Hamiltonian ring (is gcd(d,n) = 1 and f within tolerance?)";
         exit 1
     | Some ring ->
         Printf.printf "# Hamiltonian ring of F(%d,%d), %d nodes\n" d n (Array.length ring);
-        print_endline
-          (String.concat " " (List.map (Core.Butterfly_graph.to_string bf) (Array.to_list ring)))
+        print_nodes (fun w v -> Core.Butterfly_graph.write w bf v) (fun f -> Array.iter f ring)
   in
   Cmd.v
     (Cmd.info "butterfly" ~doc:"Fault-free ring in a butterfly network (section 3.4).")
-    Term.(const run $ d_arg $ n_arg $ faults)
+    Term.(const run $ params $ checked links faults)
 
 let collective_cmd =
+  let op_conv =
+    let parse s =
+      Option.to_result ~none:(Printf.sprintf "bad op %S (want rs | ag | ar)" s)
+        (Core.Collective_schedule.op_of_string s)
+    in
+    Arg.conv' (parse, fun ppf op -> Format.pp_print_string ppf (Core.Collective_schedule.op_to_string op))
+  in
   let op_arg =
-    Arg.(value & opt string "allreduce" & info [ "op" ] ~docv:"OP"
+    Arg.(value & opt op_conv Core.Collective_schedule.Allreduce & info [ "op" ] ~docv:"OP"
            ~doc:"Collective operation: reduce-scatter (rs), all-gather (ag) or allreduce (ar).")
   in
   let rings =
@@ -313,7 +357,8 @@ let collective_cmd =
            ~doc:"Logical participants per ring (an error when above the ring length unless $(b,--clamp-ranks) is passed).")
   in
   let engine_arg =
-    Arg.(value & opt string "netsim" & info [ "engine" ] ~docv:"ENGINE"
+    Arg.(value & opt (enum [ ("netsim", Core.Netsim); ("fastpath", Core.Fastpath) ]) Core.Netsim
+         & info [ "engine" ] ~docv:"ENGINE"
            ~doc:"Executor: netsim (message-by-message simulation) or fastpath (compiled zero-copy kernel; identical counters).")
   in
   let clamp_ranks =
@@ -336,20 +381,9 @@ let collective_cmd =
   let bidir =
     Arg.(value & flag & info [ "bidir" ] ~doc:"Also drive every ring in the reverse direction with its own payload stripe.")
   in
-  let run d n op_str rings_k ranks chunk_words faults seed domains bidir
-      engine_str clamp_ranks =
-    let op =
-      match Core.Collective_schedule.op_of_string op_str with
-      | Some op -> op
-      | None -> failwith (Printf.sprintf "bad op %S (want rs | ag | ar)" op_str)
-    in
-    let engine =
-      match engine_str with
-      | "netsim" -> Core.Netsim
-      | "fastpath" -> Core.Fastpath
-      | s -> failwith (Printf.sprintf "bad engine %S (want netsim | fastpath)" s)
-    in
-    let p = Core.Word.params ~d ~n in
+  let run p op rings_k ranks chunk_words faults seed domains bidir engine
+      clamp_ranks =
+    let { Core.Word.d; n; _ } = p in
     let rng = Core.Rng.create seed in
     let report =
       try
@@ -404,7 +438,7 @@ let collective_cmd =
   Cmd.v
     (Cmd.info "collective"
        ~doc:"Ring collectives (reduce-scatter / all-gather / allreduce) over embedded rings.")
-    Term.(const run $ d_arg $ n_arg $ op_arg $ rings $ ranks $ chunk_words $ faults
+    Term.(const run $ params $ op_arg $ rings $ ranks $ chunk_words $ faults
           $ seed $ domains $ bidir $ engine_arg $ clamp_ranks)
 
 let route_cmd =
@@ -413,21 +447,19 @@ let route_cmd =
   let faults =
     Arg.(value & opt_all string [] & info [ "fault" ] ~docv:"NODE" ~doc:"A faulty node (repeatable).")
   in
-  let run d n src dst fault_strs =
-    let p = Core.Word.params ~d ~n in
-    let conv = words_conv d n in
-    let faults = List.map conv fault_strs in
-    match Core.route ~d ~n ~faults (conv src) (conv dst) with
+  let run p src dst faults =
+    let { Core.Word.d; n; _ } = p in
+    match Core.route ~d ~n ~faults src dst with
     | None ->
         prerr_endline "no fault-free route (endpoint on a faulty necklace?)";
         exit 1
     | Some path ->
         Printf.printf "# %d hops (bound 2n = %d)\n" (List.length path - 1) (2 * n);
-        print_endline (String.concat " -> " (List.map (Core.Word.to_string p) path))
+        print_words ~sep:" -> " p (fun f -> List.iter f path)
   in
   Cmd.v
     (Cmd.info "route" ~doc:"Fault-free routing through faulty necklaces (Prop 2.2).")
-    Term.(const run $ d_arg $ n_arg $ src $ dst $ faults)
+    Term.(const run $ params $ checked word src $ checked word dst $ checked (all word) faults)
 
 let () =
   let doc = "fault-tolerant ring embedding in De Bruijn networks (Rowley & Bose)" in

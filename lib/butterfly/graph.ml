@@ -50,3 +50,10 @@ let edge_to_de_bruijn t (a, b) =
 
 let to_string t v =
   Fmt.str "(%d,%s)" (level t v) (W.to_string t.p (column t v))
+
+let write w t v =
+  W.Writer.string w "(";
+  W.Writer.int w (level t v);
+  W.Writer.string w ",";
+  W.Writer.word w t.p (column t v);
+  W.Writer.string w ")"

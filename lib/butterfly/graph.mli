@@ -37,3 +37,7 @@ val edge_to_de_bruijn : t -> int * int -> int * int
 
 val to_string : t -> int -> string
 (** "(k,x₀x₁…)" rendering. *)
+
+val write : Debruijn.Word.Writer.t -> t -> int -> unit
+(** Streams the {!to_string} text of a node into the writer, allocating
+    nothing. *)

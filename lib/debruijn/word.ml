@@ -127,8 +127,90 @@ let edge_of_code p c =
   let u = c / p.d and a = c mod p.d in
   (u, snoc p (suffix p u) a)
 
+(* Rendering.  A word prints as its digits, most significant first,
+   each as its decimal text — one char below 10, several from 10 on,
+   exactly what [string_of_int] gives.  The writers fill a [Bytes]
+   right to left from the word's known width, so no digit array,
+   digit string or list is built. *)
+
+let rec decimal_width a = if a < 10 then 1 else 1 + decimal_width (a / 10)
+
+(* Writes the decimal text of [a] >= 0 so that it ends just before
+   [stop]; returns where it starts. *)
+let rec blit_decimal b a stop =
+  let i = stop - 1 in
+  Bytes.unsafe_set b i (Char.unsafe_chr (48 + (a mod 10)));
+  if a < 10 then i else blit_decimal b (a / 10) i
+
+let rec digits_width d x k acc =
+  if k = 0 then acc else digits_width d (x / d) (k - 1) (acc + decimal_width (x mod d))
+
+let width p x = if p.d <= 10 then p.n else digits_width p.d x p.n 0
+
+(* The k low-order digits of [x], ending just before [stop], with one
+   division per digit; d = 2, 4 and 8 take a shift and a mask instead,
+   as the division's latency is most of the cost. *)
+let rec blit_bits s x b stop k =
+  if k > 0 then begin
+    Bytes.unsafe_set b (stop - 1) (Char.unsafe_chr (48 + (x land ((1 lsl s) - 1))));
+    blit_bits s (x lsr s) b (stop - 1) (k - 1)
+  end
+
+let rec blit_decimals d x b stop k =
+  if k > 0 then
+    let q = x / d in
+    blit_decimals d q b (blit_decimal b (x - (q * d)) stop) (k - 1)
+
+let blit_digits d x b stop k =
+  match d with
+  | 2 -> blit_bits 1 x b stop k
+  | 4 -> blit_bits 2 x b stop k
+  | 8 -> blit_bits 3 x b stop k
+  | _ -> blit_decimals d x b stop k
+
 let to_string p x =
-  String.concat "" (Array.to_list (Array.map string_of_int (decode p x)))
+  check p x;
+  let b = Bytes.create (width p x) in
+  blit_digits p.d x b (Bytes.length b) p.n;
+  Bytes.unsafe_to_string b
+
+module Writer = struct
+  type t = { oc : out_channel; buf : Bytes.t; mutable pos : int }
+
+  let create oc = { oc; buf = Bytes.create 65536; pos = 0 }
+
+  let flush t =
+    output t.oc t.buf 0 t.pos;
+    t.pos <- 0
+
+  (* Every item but a long string fits an empty chunk: a word's text
+     is at most n + 19 chars, as dⁿ < 2⁶². *)
+  let reserve t k = if t.pos + k > Bytes.length t.buf then flush t
+
+  let string t s =
+    let k = String.length s in
+    reserve t k;
+    if k > Bytes.length t.buf then output_string t.oc s
+    else begin
+      Bytes.blit_string s 0 t.buf t.pos k;
+      t.pos <- t.pos + k
+    end
+
+  let int t a =
+    if a < 0 then invalid_arg "Word.Writer.int: negative";
+    let k = decimal_width a in
+    reserve t k;
+    ignore (blit_decimal t.buf a (t.pos + k));
+    t.pos <- t.pos + k
+
+  let word t p x =
+    check p x;
+    let k = width p x in
+    reserve t k;
+    blit_digits p.d x t.buf (t.pos + k) p.n;
+    t.pos <- t.pos + k
+  [@@lint.hot]
+end
 
 let of_string p s =
   if String.length s <> p.n then invalid_arg "Word.of_string: wrong length";

@@ -85,7 +85,33 @@ val edge_of_code : params -> int -> int * int
 (** Inverse of {!edge_code}. *)
 
 val to_string : params -> int -> string
-(** Digits concatenated, e.g. ["0112"]. *)
+(** Digits concatenated, most significant first, e.g. ["0112"]; a
+    digit ≥ 10 is written as its decimal text.  One allocation: the
+    result. *)
+
+(** Streaming output of words through one reused 64 KiB chunk in front
+    of an [out_channel].  A word goes into the chunk as the text
+    {!to_string} gives, allocating nothing; the chunk reaches the
+    channel when full or on {!flush}.  Printing a ring this way builds
+    no per-node string, no list and no whole-ring string. *)
+module Writer : sig
+  type t
+
+  val create : out_channel -> t
+
+  val word : t -> params -> int -> unit
+  (** [word w p x] appends [to_string p x]. *)
+
+  val string : t -> string -> unit
+
+  val int : t -> int -> unit
+  (** Decimal text of a non-negative int.
+      @raise Invalid_argument if it is negative. *)
+
+  val flush : t -> unit
+  (** Hands the chunk to the channel (the channel itself is not
+      flushed). *)
+end
 
 val of_string : params -> string -> int
 (** Inverse of [to_string] for digits 0-9 (d ≤ 10). *)

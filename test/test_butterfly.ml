@@ -184,6 +184,26 @@ let test_prop_3_5_fault_tolerance () =
         done)
     [ (3, 2); (5, 2); (4, 3); (9, 2); (5, 3) ]
 
+let test_write () =
+  (* F(11,2): levels and column digits >= 10 print as several chars *)
+  let t = BG.create ~d:11 ~n:2 in
+  let ring = Option.get (BE.hc_avoiding t ~faults:[]) in
+  let file = Filename.temp_file "butterfly_render" ".txt" in
+  let oc = open_out_bin file in
+  let w = W.Writer.create oc in
+  Array.iteri
+    (fun i v ->
+      if i > 0 then W.Writer.string w " ";
+      BG.write w t v)
+    ring;
+  W.Writer.flush w;
+  close_out oc;
+  let got = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  Alcotest.(check string) "streamed = to_string"
+    (String.concat " " (List.map (BG.to_string t) (Array.to_list ring)))
+    got
+
 let test_encode_bounds () =
   Alcotest.check_raises "bad level" (Invalid_argument "Butterfly.encode: level") (fun () ->
       ignore (BG.encode f23 ~level:3 ~column:0));
@@ -237,6 +257,7 @@ let () =
           Alcotest.test_case "Lemma 3.8" `Quick test_lemma_3_8;
           Alcotest.test_case "edge projection" `Quick test_edge_projection;
           Alcotest.test_case "encode bounds" `Quick test_encode_bounds;
+          Alcotest.test_case "write = to_string" `Quick test_write;
         ] );
       ( "embedding",
         [

@@ -329,7 +329,86 @@ let test_large_word_sizes () =
   check_int "necklace length" 3 (N.length p3 y)
 
 (* ------------------------------------------------------------------ *)
+(* rendering: the streaming writer against the formulas it replaced *)
+
+(* [write] driven into a temporary file, read back. *)
+let streamed write =
+  let file = Filename.temp_file "debruijn_render" ".txt" in
+  let oc = open_out_bin file in
+  let w = W.Writer.create oc in
+  write w;
+  W.Writer.flush w;
+  close_out oc;
+  let s = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  s
+
+(* A ring as the CLI prints it: words separated by single spaces. *)
+let write_ring p ring w =
+  Array.iteri
+    (fun i x ->
+      if i > 0 then W.Writer.string w " ";
+      W.Writer.word w p x)
+    ring
+
+let test_render_multichar_digits () =
+  let p = W.params ~d:12 ~n:3 in
+  Alcotest.(check string) "digits 10, 3, 11" "10311" (W.to_string p (W.encode p [| 10; 3; 11 |]));
+  Alcotest.(check string) "ring" "000 10311 111111"
+    (streamed (write_ring p [| 0; W.encode p [| 10; 3; 11 |]; p.W.size - 1 |]));
+  Alcotest.(check string) "int" "0 7 1234567" (streamed (fun w ->
+      W.Writer.int w 0; W.Writer.string w " "; W.Writer.int w 7; W.Writer.string w " ";
+      W.Writer.int w 1234567))
+
+let test_render_allocation () =
+  (* the ring `debruijn-rings ffc -d 2 -n 12` prints *)
+  let p = W.params ~d:2 ~n:12 in
+  let ring = Option.get (Core.fault_free_ring ~d:2 ~n:12 ~faults:[]) in
+  check_int "4096 nodes" 4096 (Array.length ring);
+  let oc = open_out_bin Filename.null in
+  let w = W.Writer.create oc in
+  let write = write_ring p ring in
+  let before = Gc.minor_words () in
+  write w;
+  W.Writer.flush w;
+  let used = Gc.minor_words () -. before in
+  close_out oc;
+  check_bool (Printf.sprintf "%.0f minor words < 4096 nodes" used) true (used < 4096.)
+
+(* ------------------------------------------------------------------ *)
 (* properties *)
+
+(* Random d in [2,16] (digits >= 10 print as several chars), n with
+   d^n <= 2^20, and a random node sequence, empty and single-node
+   included; long enough at times to span several writer chunks. *)
+let ring_arb =
+  let open QCheck.Gen in
+  let gen =
+    int_range 2 16 >>= fun d ->
+    let rec max_n n size = if size * d > 1 lsl 20 then n else max_n (n + 1) (size * d) in
+    int_range 1 (max_n 0 1) >>= fun n ->
+    let p = W.params ~d ~n in
+    frequency [ (1, return 0); (1, return 1); (4, int_range 0 6000) ] >>= fun len ->
+    array_repeat len (int_bound (p.W.size - 1)) >|= fun ring -> (p, ring)
+  in
+  QCheck.make
+    ~print:(fun (p, ring) -> Printf.sprintf "B(%d,%d), %d nodes" p.W.d p.W.n (Array.length ring))
+    gen
+
+let render_qsuite =
+  [
+    QCheck.Test.make ~name:"streamed ring = String.concat of to_string" ~count:200 ring_arb
+      (fun (p, ring) ->
+        streamed (write_ring p ring)
+        = String.concat " " (List.map (W.to_string p) (Array.to_list ring)));
+    QCheck.Test.make ~name:"to_string = decimal digits of decode" ~count:500 ring_arb
+      (fun (p, ring) ->
+        Array.for_all
+          (fun x ->
+            W.to_string p x
+            = String.concat "" (Array.to_list (Array.map string_of_int (W.decode p x))))
+          ring);
+  ]
 
 let qsuite =
   let open QCheck in
@@ -433,5 +512,11 @@ let () =
           Alcotest.test_case "rotate/equal" `Quick test_sequence_rotate_equal;
           Alcotest.test_case "add scalar" `Quick test_add_scalar;
         ] );
+      ( "render",
+        [
+          Alcotest.test_case "multi-char digits" `Quick test_render_multichar_digits;
+          Alcotest.test_case "B(2,12) ring allocates < 1 word/node" `Quick test_render_allocation;
+        ]
+        @ List.map (fun t -> QCheck_alcotest.to_alcotest ~long:false t) render_qsuite );
       ("properties", List.map (fun t -> QCheck_alcotest.to_alcotest ~long:false t) qsuite);
     ]

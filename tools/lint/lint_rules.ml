@@ -464,8 +464,8 @@ let r4 =
   }
 
 (* ------------------------------------------------------------------ *)
-(* R5 — no unsafe casts anywhere; no Printf in libraries (Fmt/Logs
-   only, so output is composable and silenceable). *)
+(* R5 — no unsafe casts anywhere; no Printf in libraries (Fmt only,
+   so output is composable and silenceable). *)
 
 let r5 =
   {
@@ -480,7 +480,7 @@ let r5 =
                 emit ~id:"R5" ~loc (Printf.sprintf "%s: Obj breaks type safety" (dotted (flat txt)))
             | ("Printf" :: _ :: _ | "Stdlib" :: "Printf" :: _) when ctx.in_lib ->
                 emit ~id:"R5" ~loc
-                  (Printf.sprintf "%s in a library; use Fmt (or Logs) instead" (dotted (flat txt)))
+                  (Printf.sprintf "%s in a library; use Fmt instead" (dotted (flat txt)))
             | _ -> ())
         | _ -> ());
     on_str_item =
