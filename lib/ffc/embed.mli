@@ -15,13 +15,26 @@ type t = {
   modified : Spanning.modified;
   successor : Graphlib.Flatarr.t;
       (** node → its successor in H, −1 outside B\u{2217} (off-heap) *)
-  cycle : int array;  (** H, starting at the root R *)
+  cycle : int array;
+      (** H, starting at the root R: the one fresh heap array of an
+          embed, |B\u{2217}| words, written by {!ring_of_successor} *)
 }
 
 val successor_map :
   ?domains:int -> ?ws:Workspace.t -> Spanning.modified -> Graphlib.Flatarr.t
 (** [?domains] chunks the flat pass across the work-stealing pool
     (disjoint slots, bit-identical result). *)
+
+val ring_of_successor : Bstar.t -> Graphlib.Flatarr.t -> int array
+(** Close the successor map into H: |B\u{2217}| nodes from the root, in
+    ring order, in one fresh array.  One pass with no visited set — the
+    walk must return to the root at step |B\u{2217}| and not before, which
+    in a functional graph makes it a simple cycle — and each step
+    predicts the necklace rotation so successive loads overlap.  B\u{2217}
+    membership and the edges are {!verify}'s job.
+    @raise Pipeline_error.Error if the walk meets a −1 or out-of-range
+    entry, returns to the root early or not at step |B\u{2217}|.
+    @raise Invalid_argument if the map does not have dⁿ entries. *)
 
 val of_bstar : ?domains:int -> ?ws:Workspace.t -> Bstar.t -> t
 (** Run steps 1–3 on an already-computed B\u{2217}.  [?domains]
@@ -49,9 +62,14 @@ val embed :
     bit-identical to the fresh path. *)
 
 val verify : ?ws:Workspace.t -> t -> bool
-(** H is a Hamiltonian cycle of B\u{2217} avoiding all faulty necklaces
-    (checked arithmetically; does not force [bstar.graph]).  [?ws]
-    borrows the workspace's ring-walk bitset instead of allocating. *)
+(** [cycle] is a Hamiltonian cycle of B\u{2217} avoiding all faulty
+    necklaces: its length is |B\u{2217}| > 0, every node is in range, in
+    B\u{2217}, off the faulty necklaces and seen once, and every
+    consecutive pair, the wrap included, is a De Bruijn edge.  Checked
+    arithmetically in one pass (shift and mask when d is a power of
+    two); does not force [bstar.graph].  [?ws] borrows the workspace's
+    [cycle_seen] bitset for the distinctness check instead of
+    allocating one. *)
 
 val length : t -> int
 

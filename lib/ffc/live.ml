@@ -811,20 +811,26 @@ let create ?root_hint ?domains ?ws p ~faults =
   | Some e -> load t e);
   t
 
+let ring_of_successor ~root ~len succ =
+  (* The same first-return walk as [Embed.ring_of_successor]: a walk
+     from the root through a functional map that first returns to it
+     after exactly [len] steps is a simple cycle of [len] nodes. *)
+  let n = Array.length succ in
+  let not_closed () =
+    Pipeline_error.raise_error ~stage:"Live" "successor map did not close into a cycle"
+  in
+  if len < 1 || root < 0 || root >= n then not_closed ();
+  let c = Array.make len root in
+  let x = ref root in
+  for i = 1 to len - 1 do
+    let y = succ.(!x) in
+    if y < 0 || y >= n || y = root then not_closed ();
+    c.(i) <- y;
+    x := y
+  done;
+  if succ.(!x) <> root then not_closed ();
+  c
+
 let ring t =
   if t.bsize = 0 then None
-  else begin
-    let c = Array.make t.bsize 0 in
-    let x = ref t.root in
-    for i = 0 to t.bsize - 1 do
-      if !x < 0 then
-        Pipeline_error.raise_error ~stage:"Live"
-          "successor map did not close into a cycle";
-      c.(i) <- !x;
-      x := t.successor.(!x)
-    done;
-    if !x <> t.root then
-      Pipeline_error.raise_error ~stage:"Live"
-        "successor map did not close into a cycle";
-    Some c
-  end
+  else Some (ring_of_successor ~root:t.root ~len:t.bsize t.successor)

@@ -109,7 +109,18 @@ val ring : t -> int array option
 (** Materialize the ring from the root — a fresh array each call,
     equal to {!Embed.of_bstar}'s [cycle] on the same state; [None] when
     B\u{2217} is empty.  O(ring length).
-    @raise Pipeline_error.Error if the successor map does not close —
-    unreachable from {!apply}/{!create}, typed for uniformity. *)
+    @raise Pipeline_error.Error if the successor map does not close
+    into one simple cycle of |B\u{2217}| nodes (see
+    {!ring_of_successor}) — unreachable from {!apply}/{!create}, typed
+    for uniformity. *)
+
+val ring_of_successor : root:int -> len:int -> int array -> int array
+(** The walk behind {!ring}: [len] nodes of the heap successor map
+    [succ], from [root].  First-return contract: the walk must come
+    back to [root] at step [len] and not before, which makes the ring
+    simple.
+    @raise Pipeline_error.Error on an earlier return to [root], a −1 or
+    out-of-range entry on the walk, no return at step [len], or
+    [len < 1]. *)
 
 val stats : t -> stats

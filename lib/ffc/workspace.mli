@@ -4,7 +4,7 @@
     A workspace bundles every scratch structure the four pipeline
     stages need — traversal state ({!Graphlib.Itopo.ws}), the necklace
     index, adjacency/spanning buffers, the succ-override tree and the
-    ring-walk scratch — sized once by {!create} and reused across
+    ring-check bitset — sized once by {!create} and reused across
     trials via the [?ws] argument of [Bstar.compute], [Embed.embed]
     etc.  All of it lives in {e one} {!Graphlib.Flatarr.Arena}: two
     [Bigarray] backing allocations (words + flag bytes) the GC never
@@ -43,9 +43,11 @@ type t = {
   node_parent : Graphlib.Flatarr.t;  (** owned by [Spanning.build] *)
   succ_override : Graphlib.Flatarr.t;  (** owned by [Spanning.modify] *)
   successor : Graphlib.Flatarr.t;  (** owned by [Embed.successor_map] *)
-  cycle_buf : Graphlib.Flatarr.t;  (** owned by [Embed.of_bstar]'s ring walk *)
-  cycle_seen : Graphlib.Bitset.t;
-      (** shared by the ring walk and [Embed.verify] *)
+  cycle_buf : Graphlib.Flatarr.t;
+      (** scratch for {!Graphlib.Cycle.of_successor_flat_into}; the
+          pipeline itself no longer uses it ([Embed.ring_of_successor]
+          writes the ring straight into its result) *)
+  cycle_seen : Graphlib.Bitset.t;  (** [Embed.verify]'s distinctness bitset *)
   it : Graphlib.Itopo.ws;
       (** shared by every BFS/component sweep — so [Spanning.tree]'s
           [dist] is clobbered by any later traversal with the same

@@ -731,6 +731,103 @@ let test_ws_domains_identical () =
   check_ws_matches_fresh ~domains:2 p ws [ 2; 3 ]
 
 (* ------------------------------------------------------------------ *)
+(* ring walk and verify *)
+
+let raises_pipeline_error f =
+  match f () with _ -> false | exception Ffc.Pipeline_error.Error _ -> true
+
+(* The largest proper divisor of k (1 when k is prime). *)
+let short_cycle k =
+  let rec first_factor q = if k mod q = 0 then q else first_factor (q + 1) in
+  if k < 2 then 1 else k / first_factor 2
+
+let test_walk_rejects_non_closing () =
+  (* Hand-built successor maps: the real map of an embed with one edit
+     each.  Every map that does not close into one simple cycle of |B*|
+     nodes through the root must raise the typed error. *)
+  List.iter
+    (fun (d, n, faults) ->
+      let p = W.params ~d ~n in
+      let e = Option.get (E.embed p ~faults) in
+      let c = e.E.cycle in
+      let k = Array.length c in
+      let walk edit =
+        let s = Fa.of_array (Fa.to_array e.E.successor) in
+        edit s;
+        E.ring_of_successor e.E.bstar s
+      in
+      check_bool "the real map walks to the ring" true (walk ignore = c);
+      List.iter
+        (fun (name, edit) ->
+          check_bool (Printf.sprintf "B(%d,%d) %s" d n name) true
+            (raises_pipeline_error (fun () -> walk edit)))
+        [
+          ("-1 entry", fun s -> s.{c.(k / 2)} <- -1);
+          ("out-of-range entry", fun s -> s.{c.(k / 2)} <- p.W.size);
+          ("rho-shaped tail", fun s -> s.{c.(k / 2)} <- c.(1));
+          (* a cycle whose length divides |B*|, so the walk still ends
+             on the root after |B*| steps *)
+          ("short cycle through the root", fun s -> s.{c.(short_cycle k - 1)} <- c.(0));
+          ("no return at step |B*|", fun s -> s.{c.(k - 1)} <- c.(k - 1));
+        ])
+    [ (2, 5, []); (2, 6, [ 5 ]); (3, 3, [ 4 ]); (4, 3, []); (5, 2, [ 7 ]) ]
+
+let is_constant p x = x = W.constant p (x mod p.W.d)
+
+(* A copy of the flag array [a] with [a.{i}] set to [v]. *)
+let with_flag a i v =
+  let a' = Fa.Byte.create (Fa.Byte.length a) in
+  Bigarray.Array1.blit a a';
+  a'.{i} <- v;
+  a'
+
+(* A closed walk of |B*| valid edges through B* that repeats a node:
+   the constant word aⁿ is dropped (its neighbours are adjacent,
+   through its loop) and bⁿ is doubled (through its loop).  Only the
+   distinctness check can reject it.  [None] unless two constant words
+   are on the ring. *)
+let repeat_loop (e : E.t) =
+  let c = e.E.cycle in
+  match List.filter (is_constant e.E.bstar.B.p) (Array.to_list c) with
+  | a :: b :: _ ->
+      Some
+        (Array.of_list
+           (List.concat_map
+              (fun x -> if x = a then [] else if x = b then [ b; b ] else [ x ])
+              (Array.to_list c)))
+  | _ -> None
+
+(* The ring with node [i] removed, and B* with that node removed from
+   its membership: every node check still passes, and the one new
+   pair c(i−1) → c(i+1) is a De Bruijn edge iff c(i) is a constant
+   word aⁿ.  With i = k − 1 that pair is the wrap edge. *)
+let drop_node (e : E.t) i =
+  let b = e.E.bstar in
+  let c = e.E.cycle in
+  let k = Array.length c in
+  let in_bstar = with_flag b.B.in_bstar c.(i) 0 in
+  let cycle = Array.append (Array.sub c 0 i) (Array.sub c (i + 1) (k - i - 1)) in
+  { e with E.bstar = { b with B.in_bstar; size = k - 1 }; cycle }
+
+let test_steady_state_allocation () =
+  (* The workspace pipeline allocates a few hundred minor words per
+     embed + verify; the ring (|B*| words) goes straight to the major
+     heap, so a per-node allocation anywhere would show here. *)
+  let p = W.params ~d:2 ~n:14 in
+  let ws = Ffc.Workspace.create p in
+  let run () =
+    match E.embed ~ws p ~faults:[ 1; 500; 8000 ] with
+    | Some e -> E.verify ~ws e
+    | None -> false
+  in
+  check_bool "warm-up verified" true (run ());
+  let before = Gc.minor_words () in
+  let ok = run () in
+  let used = Gc.minor_words () -. before in
+  check_bool "verified" true ok;
+  check_bool (Printf.sprintf "%.0f minor words <= 500" used) true (used <= 500.)
+
+(* ------------------------------------------------------------------ *)
 (* campaign *)
 
 let strip_measurements (pt : Ffc.Campaign.point) =
@@ -784,6 +881,15 @@ let test_campaign_binary_single_fault () =
 
 (* ------------------------------------------------------------------ *)
 (* properties *)
+
+(* One workspace per (d, n), kept across a whole qcheck run. *)
+let cached_ws cache p =
+  match Hashtbl.find_opt cache (p.W.d, p.W.n) with
+  | Some ws -> ws
+  | None ->
+      let ws = Ffc.Workspace.create p in
+      Hashtbl.add cache (p.W.d, p.W.n) ws;
+      ws
 
 let qsuite =
   let open QCheck in
@@ -844,14 +950,7 @@ let qsuite =
      Test.make ~name:"workspace pipeline = fresh pipeline" ~count:150
        (make scenario) (fun (d, n, f, seed) ->
          let p = W.params ~d ~n in
-         let ws =
-           match Hashtbl.find_opt cache (d, n) with
-           | Some ws -> ws
-           | None ->
-               let ws = Ffc.Workspace.create p in
-               Hashtbl.add cache (d, n) ws;
-               ws
-         in
+         let ws = cached_ws cache p in
          let rng = Util.Rng.create seed in
          let f = min f (p.W.size - 1) in
          let faults = Util.Rng.sample_distinct rng ~k:f ~bound:p.W.size in
@@ -866,6 +965,99 @@ let qsuite =
              && fresh.E.modified.Sp.tree.Sp.ecc = wse.E.modified.Sp.tree.Sp.ecc
              && E.verify ~ws wse
          | _ -> false));
+    (* d = 2 and 4 take the shift/mask path of the walk and verify, d = 3
+       and 5 the division path. *)
+    (let cache = Hashtbl.create 8 in
+     Test.make ~name:"ring_of_successor = generic successor walk (fresh and ws)"
+       ~count:150 (make scenario) (fun (d, n, f, seed) ->
+         let p = W.params ~d ~n in
+         let ws = cached_ws cache p in
+         let rng = Util.Rng.create seed in
+         let f = min f (p.W.size - 1) in
+         let faults = Util.Rng.sample_distinct rng ~k:f ~bound:p.W.size in
+         let same = function
+           | None -> true
+           | Some e ->
+               Graphlib.Cycle.of_successor_flat_n ~start:e.E.bstar.B.root e.E.successor
+               = Some e.E.cycle
+               && E.ring_of_successor e.E.bstar e.E.successor = e.E.cycle
+         in
+         same (E.embed p ~faults) && same (E.embed ~ws p ~faults)));
+    (let cache = Hashtbl.create 8 in
+     Test.make ~name:"verify rejects each corruption and agrees with the Digraph oracle"
+       ~count:150 (make scenario) (fun (d, n, f, seed) ->
+         let p = W.params ~d ~n in
+         let ws = cached_ws cache p in
+         let rng = Util.Rng.create seed in
+         let f = min f (p.W.size - 1) in
+         let faults = Util.Rng.sample_distinct rng ~k:f ~bound:p.W.size in
+         match E.embed p ~faults with
+         | None -> true
+         | Some e ->
+             let g = Lazy.force e.E.bstar.B.graph in
+             let c = e.E.cycle in
+             let k = Array.length c in
+             let pick () = Util.Rng.int rng k in
+             let edit f =
+               let c' = Array.copy c in
+               f c';
+               { e with E.cycle = c' }
+             in
+             (* The verdict, checked against the ws verify and against
+                Hamiltonicity on the explicit Digraph (every scenario
+                has n <= 8). *)
+             let verdict (t : E.t) =
+               let v = E.verify t in
+               if E.verify ~ws t <> v then QCheck.Test.fail_report "fresh and ws verify disagree";
+               if
+                 Graphlib.Cycle.is_hamiltonian g
+                      ~subset:(fun x -> t.E.bstar.B.in_bstar.{x} <> 0)
+                      t.E.cycle
+                    <> v
+               then QCheck.Test.fail_report "verify disagrees with the Digraph oracle";
+               v
+             in
+             let rejects t = not (verdict t) in
+             let r = pick () and i = pick () and j = pick () in
+             verdict e
+             && verdict { e with E.cycle = Array.init k (fun t -> c.((t + r) mod k)) }
+             (* two swapped nodes *)
+             && (k < 3 || i = j
+                || rejects
+                     (edit (fun c' ->
+                          c'.(i) <- c.(j);
+                          c'.(j) <- c.(i))))
+             (* truncated, and truncated to a closed walk by dropping a
+                constant word (its neighbours are adjacent) *)
+             && rejects { e with E.cycle = Array.sub c 0 (k - 1) }
+             && (match List.find_opt (is_constant p) (Array.to_list c) with
+                | None -> true
+                | Some a ->
+                    rejects
+                      { e with E.cycle = Array.of_list (List.filter (( <> ) a) (Array.to_list c)) })
+             (* duplicated node *)
+             && (i = j || rejects (edit (fun c' -> c'.(j) <- c.(i))))
+             && (match repeat_loop e with
+                | None -> true
+                | Some cycle -> rejects { e with E.cycle = cycle })
+             (* a node on a faulty necklace *)
+             && (faults = [] || rejects (edit (fun c' -> c'.(i) <- List.hd faults)))
+             (* a node a malformed B* leaves out of its membership *)
+             && (let b = e.E.bstar in
+                 rejects { e with E.bstar = { b with B.in_bstar = with_flag b.B.in_bstar c.(i) 0 } })
+             (* ... and one on a faulty necklace it still counts as a member;
+                no oracle, the Digraph knows nothing of necklaces *)
+             && (let b = e.E.bstar in
+                 let necklace_faulty = with_flag b.B.necklace_faulty c.(i) 1 in
+                 not (E.verify { e with E.bstar = { b with B.necklace_faulty } }))
+             (* out of range: no oracle, the Digraph has no such node *)
+             && (not (E.verify (edit (fun c' -> c'.(i) <- -1))))
+             && (not (E.verify (edit (fun c' -> c'.(i) <- p.W.size))))
+             (* a non-edge at the wrap, then anywhere *)
+             && (k < 2
+                || List.for_all
+                     (fun t -> verdict (drop_node e t) = is_constant p c.(t))
+                     [ k - 1; i ])));
   ]
 
 let () =
@@ -919,6 +1111,13 @@ let () =
           Alcotest.test_case "wrong params rejected" `Quick test_ws_wrong_params;
           Alcotest.test_case "ws + domains:2 bit-identical" `Quick
             test_ws_domains_identical;
+        ] );
+      ( "ring walk",
+        [
+          Alcotest.test_case "non-closing maps raise the typed error" `Quick
+            test_walk_rejects_non_closing;
+          Alcotest.test_case "steady-state embed + verify allocation" `Quick
+            test_steady_state_allocation;
         ] );
       ( "campaign",
         [

@@ -203,6 +203,27 @@ let test_malformed_bstar_typed_error () =
         (String.length (Ffc.Pipeline_error.to_string err) > 0)
   | exception Failure _ -> Alcotest.fail "Distributed crash path still raises Failure"
 
+let test_ring_walk_non_simple () =
+  (* Hand-built successor arrays for the walk behind [Live.ring]: the
+     4-cycle 0 → 1 → 2 → 3 → 0 over 6 slots, then one edit each.  A
+     short cycle through the root used to pass, since the old walk only
+     checked that it ended at the root after [len] steps. *)
+  let ring = [| 1; 2; 3; 0; -1; -1 |] in
+  let walk ?(len = 4) edit =
+    let s = Array.copy ring in
+    edit s;
+    Lv.ring_of_successor ~root:0 ~len s
+  in
+  let typed f = match f () with _ -> false | exception Ffc.Pipeline_error.Error _ -> true in
+  Alcotest.(check (array int)) "closed ring" [| 0; 1; 2; 3 |] (walk ignore);
+  check_bool "short cycle through the root" true
+    (typed (fun () -> walk (fun s -> s.(1) <- 0)));
+  check_bool "the 4-cycle walked twice over len = 8" true (typed (fun () -> walk ~len:8 ignore));
+  check_bool "-1 entry" true (typed (fun () -> walk (fun s -> s.(2) <- -1)));
+  check_bool "out-of-range entry" true (typed (fun () -> walk (fun s -> s.(2) <- 6)));
+  check_bool "rho-shaped tail" true (typed (fun () -> walk (fun s -> s.(3) <- 1)));
+  check_bool "no return at step len" true (typed (fun () -> walk ~len:3 ignore))
+
 let test_campaign_records_errors () =
   (* The campaign aggregates typed errors instead of crashing; on
      well-formed inputs the count is zero. *)
@@ -302,6 +323,8 @@ let () =
           Alcotest.test_case "malformed B* raises the typed error" `Quick
             test_malformed_bstar_typed_error;
           Alcotest.test_case "campaign records errors" `Quick test_campaign_records_errors;
+          Alcotest.test_case "non-simple successor map raises the typed error" `Quick
+            test_ring_walk_non_simple;
         ] );
       ( "churn-campaign",
         [
