@@ -13,8 +13,8 @@
    - randomized edge-fault campaigns (Dhc.Campaign) sweeping f past
      MAX(ψ−1, φ): success rates per route and mean ring lengths.
 
-   All statistics except wall_s are deterministic (seeded PRNG,
-   domain-invariant), which is what lets CI gate on them. *)
+   All statistics except wall_s are deterministic (seeded PRNG), which
+   is what lets CI gate on them. *)
 
 module W = Debruijn.Word
 module EF = Dhc.Edge_fault
@@ -183,23 +183,20 @@ let campaign_specs ~smoke =
   if smoke then [ (6, 2, 10) ] else [ (6, 3, 40); (12, 2, 40); (28, 2, 40) ]
 
 let campaigns ~smoke () =
-  let domains = min 4 (Domain.recommended_domain_count ()) in
   List.iter
     (fun (d, n, trials) ->
       let size = (W.params ~d ~n).W.size in
       Printf.printf " campaign: B(%d,%d) (%d nodes), %d trials/point, MAX=%d\n" d n size
         trials (Dhc.Psi.max_tolerance d);
-      let points, gt = Jrec.time_gc (fun () -> Ca.run ~domains ~trials ~d ~n ()) in
+      let points, gt = Jrec.time_gc (fun () -> Ca.run ~trials ~d ~n ()) in
       (* Whole-campaign allocation summary, next to the per-point
-         steady-state counters the points now carry themselves.
-         Gc.counters is per-domain, so this figure depends on the domain
-         count — the engine name keeps the gate off this row. *)
+         steady-state counters the points now carry themselves. *)
       record
         ([
            ("section", jstr "dhc-campaign-gc");
            ("d", jint d);
            ("n", jint n);
-           ("engine", jstr (Printf.sprintf "x%d domains" domains));
+           ("engine", jstr "sequential");
          ]
         @ Jrec.gc_fields gt);
       List.iter

@@ -116,9 +116,10 @@ let ws_vs_fresh ~smoke () =
       ~domains ~trials ~fs ~d ~n ()
   in
   let par_speedup = total_wall fresh /. total_wall par in
+  (* [workers] clamps to the runtime's recommended domain count *)
+  let cores = Ca.workers ~domains:max_int ~trials:max_int in
   Printf.printf "  speedup vs fresh at %d domains: %5.2fx (%d cores available)\n"
-    domains par_speedup
-    (Domain.recommended_domain_count ());
+    domains par_speedup cores;
   record
     [
       ("section", jstr "ffc-campaign-speedup");
@@ -126,7 +127,7 @@ let ws_vs_fresh ~smoke () =
       ("n", jint n);
       ("engine", jstr (Printf.sprintf "workspace x%d domains" domains));
       ("speedup_vs_fresh", jnum par_speedup);
-      ("cores", jint (Domain.recommended_domain_count ()));
+      ("cores", jint cores);
     ]
 
 let run ?(json = false) ?(smoke = false) () =

@@ -11,8 +11,6 @@
    allocation next to speed and the CI gate window both. *)
 
 let rows : string list ref = ref []
-[@@lint.domain_safe
-  "sections record from the coordinating domain only, after worker joins"]
 let jstr s = Printf.sprintf "%S" s
 let jint (i : int) = string_of_int i
 let jnum f = Printf.sprintf "%.6f" f

@@ -7,14 +7,14 @@
    - workspace vs fresh on B(2,10): the same seeded churn through both
      allocation paths — event outcomes bit-identical, per-event GC
      figures the difference;
-   - the headline latency table: B(2,17) and B(2,22) churn, median and
-     max Live.apply latency per event versus the cost of one full
+   - the headline latency table: B(2,17) and B(2,22) churn, median,
+     p90, p99 and max Live.apply latency per event versus the cost of one full
      recompute at that size.  The patched path's point is precisely
      that an event costs µs–ms where the batch pipeline costs seconds;
    - the ratio row: full-recompute seconds / median event seconds.
 
    Every field except the wall/latency/GC figures is a pure function of
-   (seed, target, trials, events) — domain- and reuse-invariant, which
+   (seed, target, trials, events) — worker- and reuse-invariant, which
    is what the CI gate pins. *)
 
 module W = Debruijn.Word
@@ -41,6 +41,8 @@ let churn_fields (cp : Ca.churn_point) =
     ("mean_live_faults", jnum cp.Ca.mean_live_faults);
     ("wall_s", jnum cp.Ca.cwall_s);
     ("median_event_s", jnum cp.Ca.median_event_s);
+    ("p90_event_s", jnum cp.Ca.p90_event_s);
+    ("p99_event_s", jnum cp.Ca.p99_event_s);
     ("max_event_s", jnum cp.Ca.max_event_s);
     ("minor_words_per_event", jnum cp.Ca.minor_words_per_event);
     ("major_words_per_event", jnum cp.Ca.major_words_per_event);
@@ -50,18 +52,20 @@ let churn_fields (cp : Ca.churn_point) =
 let print_point (cp : Ca.churn_point) =
   Printf.printf
     "  target=%3d  %3d+%-3d ev  patched %4d  recomputed %4d  unchanged %4d  \
-     errors %d  ring %10.1f  median %9.6f s/ev  max %9.6f s  minor %7.0f w/ev\n"
+     errors %d  ring %10.1f  median %9.6f s/ev  p90 %9.6f  p99 %9.6f  max \
+     %9.6f s  minor %7.0f w/ev\n"
     cp.Ca.target_f cp.Ca.cfaults cp.Ca.crepairs cp.Ca.patched cp.Ca.recomputed
     cp.Ca.cunchanged cp.Ca.cerrors cp.Ca.mean_ring_length cp.Ca.median_event_s
-    cp.Ca.max_event_s cp.Ca.minor_words_per_event
+    cp.Ca.p90_event_s cp.Ca.p99_event_s cp.Ca.max_event_s
+    cp.Ca.minor_words_per_event
 
 (* One churn table; every point becomes a JSON row keyed by
    (d, n, engine, target_f). *)
-let table ~engine ?domains ?reuse ~trials ~events ~targets ~d ~n () =
+let table ~engine ?reuse ~trials ~events ~targets ~d ~n () =
   let size = (W.params ~d ~n).W.size in
   Printf.printf " churn: B(%d,%d) (%d nodes), %d trials x %d events [%s]\n" d n
     size trials events engine;
-  let pts = Ca.churn ?domains ?reuse ~trials ~targets ~events ~d ~n () in
+  let pts = Ca.churn ?reuse ~trials ~targets ~events ~d ~n () in
   List.iter
     (fun cp ->
       print_point cp;

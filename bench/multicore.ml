@@ -1,19 +1,15 @@
-(* Multicore scaling of a single FFC embed — the work-stealing BFS
-   (Graphlib.Sched) and the off-heap workspace arena together.
+(* One FFC embed on one domain: the sequential fresh-allocation run and
+   the warm-workspace steady state.
 
-   Smoke: B(2,16); full: B(2,22).  Domain sweep 1/2/4/8 with wall
-   clock, GC words and peak RSS per embed; every parallel result is
-   checked bit-identical to the sequential fresh-allocation run (the
-   qcheck determinism contract, exercised at scale).  Wall times and
-   speedups are machine-dependent, so their rows carry "domains" in the
-   engine name — the CI gate schema-checks them but does not window
-   them.  The steady-state row measures GC words per embed once the
-   arena is warm: the near-zero-allocation claim of the Bigarray
-   workspace, and it IS gated. *)
+   Smoke: B(2,16); full: B(2,22).  The fresh row records wall clock, GC
+   words and peak RSS of one embed; the steady-state row measures GC
+   words per embed once the arena is warm — the near-zero-allocation
+   claim of the Bigarray workspace.  Both rows are gated.  (The section
+   keeps its historical name: it used to sweep domain counts, which
+   never beat one domain — EXPERIMENTS.md "Parallelism decision".) *)
 
 module W = Debruijn.Word
 module E = Ffc.Embed
-module Fa = Graphlib.Flatarr
 
 let jstr = Jrec.jstr
 let jint = Jrec.jint
@@ -21,17 +17,11 @@ let jnum = Jrec.jnum
 let jbool = Jrec.jbool
 let record = Jrec.record
 
-let domain_counts = [ 1; 2; 4; 8 ]
-
-let sweep ~d ~n =
+let embed_rows ~d ~n =
   let p = W.params ~d ~n in
   let faults = [ 1 ] in
-  Printf.printf " single-embed scaling: B(%d,%d) (%d nodes), f = 1\n" d n p.W.size;
-  (* Sequential fresh-allocation reference: the bit-identity oracle and
-     the x1 denominator come from here. *)
+  Printf.printf " single embed: B(%d,%d) (%d nodes), f = 1\n" d n p.W.size;
   let seq, gseq = Jrec.time_gc (fun () -> Option.get (E.embed p ~faults)) in
-  let seq_succ = Fa.to_array seq.E.successor in
-  let seq_cycle = seq.E.cycle in
   Printf.printf "  sequential fresh        %8.3f s  minor %12.0f w\n" gseq.Jrec.wall_s
     gseq.Jrec.minor_words;
   record
@@ -45,43 +35,6 @@ let sweep ~d ~n =
     @ Jrec.gc_fields gseq
     @ [ ("verified", jbool (E.verify seq)); ("ring_length", jint (E.length seq)) ]);
   let ws = Ffc.Workspace.create p in
-  let t1 = ref gseq.Jrec.wall_s in
-  List.iter
-    (fun domains ->
-      let e, gt =
-        Jrec.time_gc (fun () -> Option.get (E.embed ~domains ~ws p ~faults))
-      in
-      (* The ws embed aliases arena storage, so compare before the next
-         trial reuses it. *)
-      let same = Fa.to_array e.E.successor = seq_succ && e.E.cycle = seq_cycle in
-      let ok = E.verify ~ws e in
-      if domains = 1 then t1 := gt.Jrec.wall_s;
-      Printf.printf "  arena x%d domains        %8.3f s  minor %12.0f w  identical %b\n"
-        domains gt.Jrec.wall_s gt.Jrec.minor_words same;
-      record
-        ([
-           ("section", jstr "multicore");
-           ("d", jint d);
-           ("n", jint n);
-           ("nodes", jint p.W.size);
-           ("engine", jstr (Printf.sprintf "arena x%d domains" domains));
-         ]
-        @ Jrec.gc_fields gt
-        @ [
-            ("verified", jbool ok);
-            ("same_output", jbool same);
-            ("ring_length", jint (E.length e));
-          ]);
-      record
-        [
-          ("section", jstr "multicore-speedup");
-          ("d", jint d);
-          ("n", jint n);
-          ("engine", jstr (Printf.sprintf "arena x%d domains" domains));
-          ("speedup_vs_x1", jnum (!t1 /. gt.Jrec.wall_s));
-        ];
-      if not (ok && same) then failwith "multicore: parallel embed diverged")
-    domain_counts;
   (* Steady state: one warm arena, repeated embeds.  GC words per embed
      must stay near zero — only the result cycle array and the small
      pipeline records are heap-allocated. *)
@@ -116,8 +69,8 @@ let sweep ~d ~n =
 let run ?(json = false) ?(smoke = false) () =
   print_endline (String.make 78 '-');
   print_endline
-    "MULTICORE - work-stealing BFS + off-heap arena, single-embed domain sweep";
+    "MULTICORE - one embed on one domain: fresh vs warm off-heap arena";
   print_endline (String.make 78 '-');
-  if smoke then sweep ~d:2 ~n:16 else sweep ~d:2 ~n:22;
+  if smoke then embed_rows ~d:2 ~n:16 else embed_rows ~d:2 ~n:22;
   print_newline ();
   if json then Jrec.write "BENCH_multicore.json"

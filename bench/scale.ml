@@ -1,8 +1,7 @@
 (* Simulator scale study (EXPERIMENTS.md "netsim at scale").
 
    Two workloads on fault-free B(d,n), run under the seed full-scan
-   engine (Netsim.Reference) and the worklist engine (Netsim.Simulator,
-   sequential and on OCaml domains):
+   engine (Netsim.Reference) and the worklist engine (Netsim.Simulator):
 
    - flood: BFS broadcast from node 0 — each node forwards once, so
      per-round activity is only the BFS frontier.  This is the sparse
@@ -108,7 +107,7 @@ let row ~ctx:(d, n, workload) name (g : Jrec.gc_timed) rounds delivered =
     @ Jrec.gc_fields g
     @ [ ("rounds", jint rounds); ("delivered", jint delivered) ])
 
-let engines ~ctx ~domains ~with_seed ~g proto_s proto_r =
+let engines ~ctx ~with_seed ~g proto_s proto_r =
   if with_seed then begin
     let r, gt =
       Jrec.time_gc (fun () ->
@@ -117,39 +116,30 @@ let engines ~ctx ~domains ~with_seed ~g proto_s proto_r =
     row ~ctx "seed full-scan" gt r.R.rounds r.R.delivered
   end
   else print_endline "  seed full-scan               (skipped: too slow at this size)";
-  let r, gt = Jrec.time_gc (fun () -> proto_s ~domains:1) in
-  row ~ctx "worklist" gt r.S.rounds r.S.delivered;
-  if domains > 1 then begin
-    let r, gt = Jrec.time_gc (fun () -> proto_s ~domains) in
-    row ~ctx
-      (Printf.sprintf "worklist x%d domains" domains)
-      gt r.S.rounds r.S.delivered
-  end
+  let r, gt = Jrec.time_gc proto_s in
+  row ~ctx "worklist" gt r.S.rounds r.S.delivered
 
-let workload ~domains ~with_seed ~d ~n ~k =
+let workload ~with_seed ~d ~n ~k =
   let p = W.params ~d ~n in
   let g = Debruijn.Graph.b p in
   Printf.printf "B(%d,%d): %d nodes, %d edges\n" d n p.W.size (DG.n_edges g);
   Printf.printf " flood (frontier-sparse)\n";
-  engines ~ctx:(d, n, "flood") ~domains ~with_seed ~g
-    (fun ~domains ->
-      S.run ~max_rounds:10_000 ~domains ~topology:g ~faulty:no_fault (flood g))
+  engines ~ctx:(d, n, "flood") ~with_seed ~g
+    (fun () -> S.run ~max_rounds:10_000 ~topology:g ~faulty:no_fault (flood g))
     (flood g);
   Printf.printf " spin k=%d (all nodes active)\n" k;
-  engines ~ctx:(d, n, "spin") ~domains ~with_seed ~g
-    (fun ~domains ->
-      S.run ~max_rounds:10_000 ~domains ~topology:g ~faulty:no_fault (spin g k))
+  engines ~ctx:(d, n, "spin") ~with_seed ~g
+    (fun () -> S.run ~max_rounds:10_000 ~topology:g ~faulty:no_fault (spin g k))
     (spin g k);
   let tk = 512 in
   Printf.printf " token k=%d (one node active per round)\n" tk;
-  engines ~ctx:(d, n, "token") ~domains
+  engines ~ctx:(d, n, "token")
     ~with_seed:(with_seed && p.W.size <= 20_000)
     ~g
-    (fun ~domains ->
-      S.run ~max_rounds:10_000 ~domains ~topology:g ~faulty:no_fault (token g tk))
+    (fun () -> S.run ~max_rounds:10_000 ~topology:g ~faulty:no_fault (token g tk))
     (token g tk)
 
-let distributed_acceptance ~domains =
+let distributed_acceptance () =
   let p = W.params ~d:2 ~n:17 in
   let faults = [ 1 ] in
   print_endline (String.make 78 '-');
@@ -162,11 +152,11 @@ let distributed_acceptance ~domains =
       let emb, t_emb = time (fun () -> Ffc.Embed.of_bstar b) in
       Printf.printf "  centralized Embed.of_bstar      %8.3f s (ring length %d)\n"
         t_emb (Array.length emb.Ffc.Embed.cycle);
-      let dist, t_dist = time (fun () -> Ffc.Distributed.run ~domains b) in
+      let dist, t_dist = time (fun () -> Ffc.Distributed.run b) in
       let st = dist.Ffc.Distributed.stats in
       Printf.printf
-        "  distributed run (x%d domains)    %8.3f s (%d rounds, %d messages)\n"
-        domains t_dist st.Ffc.Distributed.total_rounds
+        "  distributed run                 %8.3f s (%d rounds, %d messages)\n"
+        t_dist st.Ffc.Distributed.total_rounds
         st.Ffc.Distributed.messages;
       let same_succ =
         dist.Ffc.Distributed.successor
@@ -274,14 +264,13 @@ let run ?(json = false) ?(smoke = false) () =
   print_endline
     "SIMULATOR AT SCALE - seed full-scan vs worklist engine, B(4,7) .. B(2,20)";
   print_endline (String.make 78 '-');
-  let domains = min 4 (Domain.recommended_domain_count ()) in
-  workload ~domains ~with_seed:true ~d:4 ~n:7 ~k:32;
+  workload ~with_seed:true ~d:4 ~n:7 ~k:32;
   if not smoke then begin
-    workload ~domains ~with_seed:true ~d:2 ~n:14 ~k:32;
-    workload ~domains ~with_seed:true ~d:2 ~n:17 ~k:16;
-    workload ~domains ~with_seed:false ~d:2 ~n:20 ~k:8
+    workload ~with_seed:true ~d:2 ~n:14 ~k:32;
+    workload ~with_seed:true ~d:2 ~n:17 ~k:16;
+    workload ~with_seed:false ~d:2 ~n:20 ~k:8
   end;
   ffc_scale ~smoke ();
-  if not smoke then distributed_acceptance ~domains;
+  if not smoke then distributed_acceptance ();
   print_newline ();
   if json then Jrec.write "BENCH_scale.json"

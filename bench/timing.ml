@@ -167,13 +167,6 @@ let netsim_worklist_kernel () =
   Staged.stage (fun () ->
       ignore (Netsim.Simulator.run ~topology:g ~faulty:(fun _ -> false) flood))
 
-let netsim_domains_kernel () =
-  let g, flood = netsim_b47 () in
-  Staged.stage (fun () ->
-      ignore
-        (Netsim.Simulator.run ~domains:4 ~topology:g ~faulty:(fun _ -> false)
-           flood))
-
 let netsim_token_seed_kernel () =
   let g, token = netsim_token_b47 () in
   Staged.stage (fun () ->
@@ -191,10 +184,6 @@ let netsim_token_worklist_kernel () =
 let ffc_implicit_b214 () =
   let p = W.params ~d:2 ~n:14 in
   Staged.stage (fun () -> ignore (Ffc.Embed.embed p ~faults:[ 1 ]))
-
-let ffc_implicit_domains_b214 () =
-  let p = W.params ~d:2 ~n:14 in
-  Staged.stage (fun () -> ignore (Ffc.Embed.embed ~domains:2 p ~faults:[ 1 ]))
 
 let ffc_reference_b214 () =
   let p = W.params ~d:2 ~n:14 in
@@ -225,12 +214,10 @@ let tests () =
       Test.make ~name:"ch1/connectivity-B(3,2)" (connectivity_kernel ());
       Test.make ~name:"ch5/hamsearch-B(3,3)" (hamsearch_kernel ());
       Test.make ~name:"ffc/embed-B(2,14)-implicit" (ffc_implicit_b214 ());
-      Test.make ~name:"ffc/embed-B(2,14)-implicit-x2" (ffc_implicit_domains_b214 ());
       Test.make ~name:"ffc/embed-B(2,14)-reference" (ffc_reference_b214 ());
       Test.make ~name:"ffc/bstar-B(2,14)-implicit" (ffc_bstar_implicit_b214 ());
       Test.make ~name:"netsim/flood-B(4,7)-seed" (netsim_seed_kernel ());
       Test.make ~name:"netsim/flood-B(4,7)-worklist" (netsim_worklist_kernel ());
-      Test.make ~name:"netsim/flood-B(4,7)-worklist-x4" (netsim_domains_kernel ());
       Test.make ~name:"netsim/token256-B(4,7)-seed" (netsim_token_seed_kernel ());
       Test.make ~name:"netsim/token256-B(4,7)-worklist"
         (netsim_token_worklist_kernel ());

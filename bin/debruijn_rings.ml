@@ -135,7 +135,7 @@ let ffc_cmd =
                     t)
                 stats.Core.Distributed.phase_traces;
             ring)
-          (Core.fault_free_ring_distributed ~domains ~d ~n ~faults ())
+          (Core.fault_free_ring_distributed ~d ~n ~faults ())
       else Core.fault_free_ring ~d ~n ~faults
     in
     match result with
@@ -154,7 +154,14 @@ let ffc_cmd =
     Arg.(value & flag & info [ "distributed" ] ~doc:"Run the network-level protocol on the simulator.")
   in
   let domains =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"K" ~doc:"Run on $(docv) OCaml domains: simulator rounds with --distributed, trials with --campaign.")
+    let check k =
+      if k < 1 then Error (Printf.sprintf "--domains %d: the domain count must be at least 1" k)
+      else Ok k
+    in
+    Term.(term_result'
+            (const check
+            $ Arg.(value & opt int 1 & info [ "domains" ] ~docv:"K"
+                     ~doc:"Run the trials of --campaign or --churn on up to $(docv) OCaml domains (at most one per trial and per core; statistics unchanged).")))
   in
   let trace =
     Arg.(value & flag & info [ "trace" ] ~doc:"Print per-phase round-by-round metrics (with --distributed).")
@@ -215,10 +222,7 @@ let dhc_cmd =
   let seed =
     Arg.(value & opt int 0x5eed & info [ "seed" ] ~docv:"S" ~doc:"Campaign PRNG seed.")
   in
-  let domains =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"K" ~doc:"Parallelize campaign trials on $(docv) OCaml domains (statistics unchanged).")
-  in
-  let run p faults campaign trials fmax seed domains =
+  let run p faults campaign trials fmax seed =
     let { Core.Word.d; n; _ } = p in
     if campaign then begin
       Printf.printf "# campaign on B(%d,%d): %d trials per point, tolerance MAX(psi-1, phi) = %d\n"
@@ -230,7 +234,7 @@ let dhc_cmd =
             pt.Core.Campaign.successes pt.Core.Campaign.trials
             pt.Core.Campaign.via_construction pt.Core.Campaign.via_disjoint
             pt.Core.Campaign.masked_fallbacks pt.Core.Campaign.mean_ring_length)
-        (Core.Campaign.run ~domains ~trials ~seed ?fmax ~d ~n ())
+        (Core.Campaign.run ~trials ~seed ?fmax ~d ~n ())
     end
     else begin
       match Core.Edge_fault.best_hc_avoiding_stream ~d ~n ~faults with
@@ -257,7 +261,7 @@ let dhc_cmd =
   in
   Cmd.v
     (Cmd.info "dhc" ~doc:"Streaming Chapter-3 engine: O(n)-memory fault-avoiding rings and edge-fault campaigns.")
-    Term.(const run $ params $ checked (all (link word)) faults $ campaign $ trials $ fmax $ seed $ domains)
+    Term.(const run $ params $ checked (all (link word)) faults $ campaign $ trials $ fmax $ seed)
 
 let disjoint_cmd =
   let run p =
@@ -375,14 +379,10 @@ let collective_cmd =
   let seed =
     Arg.(value & opt int 0x5eed & info [ "seed" ] ~docv:"S" ~doc:"Fault-sampling seed.")
   in
-  let domains =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"K" ~doc:"Step the simulator on $(docv) OCaml domains (bit-identical results).")
-  in
   let bidir =
     Arg.(value & flag & info [ "bidir" ] ~doc:"Also drive every ring in the reverse direction with its own payload stripe.")
   in
-  let run p op rings_k ranks chunk_words faults seed domains bidir engine
-      clamp_ranks =
+  let run p op rings_k ranks chunk_words faults seed bidir engine clamp_ranks =
     let { Core.Word.d; n; _ } = p in
     let rng = Core.Rng.create seed in
     let report =
@@ -393,7 +393,7 @@ let collective_cmd =
           in
           Printf.printf "# %s over the FFC ring of B(%d,%d), %d node fault(s)\n"
             (Core.Collective_schedule.op_to_string op) d n faults;
-          Core.collective_over_fault_free_ring ~domains ~engine
+          Core.collective_over_fault_free_ring ~engine
             ~bidirectional:bidir ~clamp_ranks ~d ~n ~faults:fault_nodes ~op
             ~ranks ~chunk_words ()
         end
@@ -410,7 +410,7 @@ let collective_cmd =
           Printf.printf
             "# %s striped over %d edge-disjoint ring(s) of B(%d,%d), %d link fault(s)\n"
             (Core.Collective_schedule.op_to_string op) rings_k d n faults;
-          Core.striped_collective_over_disjoint_rings ~domains ~engine
+          Core.striped_collective_over_disjoint_rings ~engine
             ~bidirectional:bidir ~clamp_ranks ~edge_faults ~d ~n ~k:rings_k ~op
             ~ranks ~chunk_words ()
         end
@@ -439,7 +439,7 @@ let collective_cmd =
     (Cmd.info "collective"
        ~doc:"Ring collectives (reduce-scatter / all-gather / allreduce) over embedded rings.")
     Term.(const run $ params $ op_arg $ rings $ ranks $ chunk_words $ faults
-          $ seed $ domains $ bidir $ engine_arg $ clamp_ranks)
+          $ seed $ bidir $ engine_arg $ clamp_ranks)
 
 let route_cmd =
   let src = Arg.(required & pos 0 (some string) None & info [] ~docv:"SRC") in

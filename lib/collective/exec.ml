@@ -33,9 +33,7 @@ type role =
 
 (* [free] recycles the chunk arrays of consumed receives into the
    node's own later sends — each rank allocates at most two [cw]-word
-   arrays over the whole run instead of one per phase.  The pool is
-   private to the node state, so the simulator's ?domains stepping
-   never shares a buffer across domains. *)
+   arrays over the whole run instead of one per phase. *)
 type nstate = {
   mutable started : bool;
   roles : role array;
@@ -56,7 +54,7 @@ let initial_word op ~init ~ring ~rank ~chunk ~word =
   | All_gather -> if chunk = rank then init ~ring ~rank ~chunk ~word else 0
   | Reduce_scatter | Allreduce -> init ~ring ~rank ~chunk ~word
 
-let run_internal ~domains ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
+let run_internal ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
     spec =
   let c =
     Compile.lower ~what:"Collective.Exec.run" ~clamp_ranks ~edge_faults
@@ -72,7 +70,7 @@ let run_internal ~domains ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
   let ph = Schedule.phases spec.op ~ranks in
   (* Flat payload arena: rank r of ring j owns the [ranks·cw]-word
      slice at [((j·ranks) + r)·ranks·cw].  A step writes only the
-     stepped node's own slice — the ?domains safety contract. *)
+     stepped node's own slice. *)
   let buf = Fa.make (nrings * ranks * ranks * cw) 0 in
   let base_of ~ring ~rank = ((ring * ranks) + rank) * ranks * cw in
   for j = 0 to nrings - 1 do
@@ -225,7 +223,7 @@ let run_internal ~domains ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
     }
   in
   let res =
-    Netsim.Simulator.run ~domains
+    Netsim.Simulator.run
       ~payload_words:(fun m -> Array.length m.data)
       ~topology ~faulty proto
   in
@@ -274,16 +272,16 @@ let run_internal ~domains ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
   in
   (report, buf)
 
-let run ?(domains = 1) ?(edge_faults = []) ?(clamp_ranks = false)
+let run ?(edge_faults = []) ?(clamp_ranks = false)
     ?(init = default_init) ~p ~faulty ~rings spec =
   fst
-    (run_internal ~domains ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
+    (run_internal ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
        spec)
 
-let run_with_payload ?(domains = 1) ?(edge_faults = []) ?(clamp_ranks = false)
+let run_with_payload ?(edge_faults = []) ?(clamp_ranks = false)
     ?(init = default_init) ~p ~faulty ~rings spec =
   let report, buf =
-    run_internal ~domains ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
+    run_internal ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
       spec
   in
   (report, Fa.to_array buf)

@@ -21,9 +21,7 @@
 
     Payload words live in one off-heap {!Graphlib.Flatarr} buffer
     carved into per-(ring, rank) slices; a step writes only the
-    stepped node's own slice, which is what makes the protocol safe
-    under the simulator's [?domains] parallel stepping (bit-identical
-    results, same contract as every other protocol in the repo).
+    stepped node's own slice.
 
     Verification is exact: the final buffer of every rank is compared
     word-for-word against the rank-space reference execution
@@ -70,7 +68,6 @@ type report = {
 }
 
 val run :
-  ?domains:int ->
   ?edge_faults:(int * int) list ->
   ?clamp_ranks:bool ->
   ?init:(ring:int -> rank:int -> chunk:int -> word:int -> int) ->
@@ -99,12 +96,9 @@ val run :
     {!Netsim.Simulator.Illegal_send}, so a clean return {e proves} the
     rings avoid the fault set.
 
-    [init] gives the integer payload (defaults to {!default_init});
-    [domains] is passed to the simulator and is bit-identical by its
-    contract. *)
+    [init] gives the integer payload (defaults to {!default_init}). *)
 
 val run_with_payload :
-  ?domains:int ->
   ?edge_faults:(int * int) list ->
   ?clamp_ranks:bool ->
   ?init:(ring:int -> rank:int -> chunk:int -> word:int -> int) ->

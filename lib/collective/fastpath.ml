@@ -1,11 +1,5 @@
 module W = Debruijn.Word
 module Fa = Graphlib.Flatarr
-module Sched = Graphlib.Sched
-
-(* Nodes per chunk of the port-load sweep: big enough that the
-   per-chunk scratch arrays amortize to nothing, small enough to
-   load-balance across domains. *)
-let port_chunk = 4096
 
 (* Peak sends by one node in one round, in closed form.
 
@@ -25,7 +19,7 @@ let port_chunk = 4096
    general k-way merge only runs for non-uniform boundaries, and only
    on nodes with more memberships than the best collision found so
    far. *)
-let max_port_load pool (c : Compile.t) ~phases =
+let max_port_load (c : Compile.t) ~phases =
   if c.Compile.nrings = 1 then 1
   else begin
     let size = c.Compile.p.W.size in
@@ -71,61 +65,58 @@ let max_port_load pool (c : Compile.t) ~phases =
       done;
       !u
     in
-    let nchunks = (size + port_chunk - 1) / port_chunk in
-    let maxima = Array.make nchunks 1 in
-    Sched.parallel_for pool ~chunk:port_chunk ~lo:0 ~hi:size
-      (fun ci lo hi ->
-        let best = ref 1 in
-        let vals = Array.make nrings 0 in
-        let ptr = Array.make nrings 0 in
-        let nxt = Array.make nrings 0 in
-        for v = lo to hi - 1 do
-          let e0 = heads.{v} and e1 = heads.{v + 1} in
-          let deg = e1 - e0 in
-          (* A node's collision depth is at most its membership count. *)
-          if deg > !best then
-            if uniform then
-              for a = e0 to e1 - 1 do
-                let cnt = ref 0 in
-                for b = e0 to e1 - 1 do
-                  if ent_off.{b} = ent_off.{a} then incr cnt
-                done;
-                if !cnt > !best then best := !cnt
-              done
-            else begin
-              let live = ref deg in
-              for e = 0 to deg - 1 do
-                ptr.(e) <- 0;
-                vals.(e) <- ent_off.{e0 + e};
-                let s = ent_seg.{e0 + e} in
-                nxt.(e) <- (if s = 0 then ranks - 1 else s - 1)
-              done;
-              while !live > 0 do
-                let mn = ref max_int in
-                for e = 0 to deg - 1 do
-                  if ptr.(e) < phases && vals.(e) < !mn then mn := vals.(e)
-                done;
-                let cnt = ref 0 in
-                for e = 0 to deg - 1 do
-                  if ptr.(e) < phases && vals.(e) = !mn then begin
-                    incr cnt;
-                    ptr.(e) <- ptr.(e) + 1;
-                    if ptr.(e) = phases then decr live
-                    else begin
-                      vals.(e) <- vals.(e) + seg_len.{nxt.(e)};
-                      nxt.(e) <- (if nxt.(e) = 0 then ranks - 1 else nxt.(e) - 1)
-                    end
-                  end
-                done;
-                if !cnt > !best then best := !cnt
-              done
-            end
-        done;
-        maxima.(ci) <- !best);
-    Array.fold_left max 1 maxima
+    (* One pass with one scratch pair: [vals.(e)] is the round of
+       membership e's next send and [ptr.(e)] how many of its sends are
+       already counted; the segment whose length delays the next one is
+       (seg − 1 − ptr) mod R.  [best] carries across nodes, so only
+       nodes that could beat the deepest collision so far are
+       merged. *)
+    let best = ref 1 in
+    let vals = Array.make nrings 0 in
+    let ptr = Array.make nrings 0 in
+    for v = 0 to size - 1 do
+      let e0 = heads.{v} and e1 = heads.{v + 1} in
+      let deg = e1 - e0 in
+      (* A node's collision depth is at most its membership count. *)
+      if deg > !best then
+        if uniform then
+          for a = e0 to e1 - 1 do
+            let cnt = ref 0 in
+            for b = e0 to e1 - 1 do
+              if ent_off.{b} = ent_off.{a} then incr cnt
+            done;
+            if !cnt > !best then best := !cnt
+          done
+        else begin
+          let live = ref deg in
+          for e = 0 to deg - 1 do
+            ptr.(e) <- 0;
+            vals.(e) <- ent_off.{e0 + e}
+          done;
+          while !live > 0 do
+            let mn = ref max_int in
+            for e = 0 to deg - 1 do
+              if ptr.(e) < phases && vals.(e) < !mn then mn := vals.(e)
+            done;
+            let cnt = ref 0 in
+            for e = 0 to deg - 1 do
+              if ptr.(e) < phases && vals.(e) = !mn then begin
+                incr cnt;
+                let q = (ent_seg.{e0 + e} - 1 - ptr.(e)) mod ranks in
+                let q = if q < 0 then q + ranks else q in
+                ptr.(e) <- ptr.(e) + 1;
+                if ptr.(e) = phases then decr live
+                else vals.(e) <- vals.(e) + seg_len.{q}
+              end
+            done;
+            if !cnt > !best then best := !cnt
+          done
+        end
+    done;
+    !best
   end
 
-let run_internal ~domains ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
+let run_internal ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
     (spec : Exec.spec) =
   let op = spec.Exec.op in
   let cw = spec.Exec.chunk_words in
@@ -156,45 +147,32 @@ let run_internal ~domains ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
     done
   done;
   let items = nrings * ranks in
-  let port =
-    Sched.with_pool ~domains (fun pool ->
-        let kchunk = max 1 (items / (8 * Sched.size pool)) in
-        (* The schedule as an array kernel: in phase p, the (ring j,
-           rank r) work item moves chunk (r−p−1) mod R from its
-           predecessor's slice into its own, reducing in place during
-           the reduce-scatter phases.  The predecessor's phase-p write
-           lands in chunk (r−p−2) mod R — a different chunk, since
-           consecutive chunks differ by 1 mod R ≥ 2 — so every phase's
-           work items touch pairwise disjoint destinations and read
-           phase-stable sources: any (domains, chunk) split commits
-           bit-identical words, with zero allocation per hop. *)
-        for phase = 0 to ph - 1 do
-          let red = Schedule.reduces op ~ranks ~phase in
-          Sched.parallel_for pool ~chunk:kchunk ~lo:0 ~hi:items
-            ((fun _ci lo hi ->
-              for item = lo to hi - 1 do
-                let j = item / ranks in
-                let r = item mod ranks in
-                let chunk = Schedule.recv_chunk ~ranks ~rank:r ~phase in
-                let pred = if r = 0 then ranks - 1 else r - 1 in
-                (* [base_of] inlined: every destination index is then
-                   a visible function of the chunk-range parameters,
-                   so R6 verifies the kernel with no annotation. *)
-                let src = (((j * ranks) + pred) * ranks * cw) + (chunk * cw) in
-                let dst = (((j * ranks) + r) * ranks * cw) + (chunk * cw) in
-                if red then
-                  for w = 0 to cw - 1 do
-                    buf.{dst + w} <- buf.{dst + w} + buf.{src + w}
-                  done
-                else
-                  for w = 0 to cw - 1 do
-                    buf.{dst + w} <- buf.{src + w}
-                  done
-              done)
-            [@lint.hot])
-        done;
-        max_port_load pool c ~phases:ph)
-  in
+  (* The schedule as an array kernel: in phase p, the (ring j, rank r)
+     work item moves chunk (r−p−1) mod R from its predecessor's slice
+     into its own, reducing in place during the reduce-scatter phases,
+     with zero allocation per hop. *)
+  (for phase = 0 to ph - 1 do
+     let red = Schedule.reduces op ~ranks ~phase in
+     for item = 0 to items - 1 do
+       let j = item / ranks in
+       let r = item mod ranks in
+       let chunk = Schedule.recv_chunk ~ranks ~rank:r ~phase in
+       let pred = if r = 0 then ranks - 1 else r - 1 in
+       (* [base_of] inlined: no call per work item. *)
+       let src = (((j * ranks) + pred) * ranks * cw) + (chunk * cw) in
+       let dst = (((j * ranks) + r) * ranks * cw) + (chunk * cw) in
+       if red then
+         for w = 0 to cw - 1 do
+           buf.{dst + w} <- buf.{dst + w} + buf.{src + w}
+         done
+       else
+         for w = 0 to cw - 1 do
+           buf.{dst + w} <- buf.{src + w}
+         done
+     done
+   done
+  [@lint.hot]);
+  let port = max_port_load c ~phases:ph in
   (* Exact verification against the rank-space reference execution —
      the same oracle, and the same traversal order for the checksum,
      as [Exec.run]. *)
@@ -244,16 +222,16 @@ let run_internal ~domains ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
   in
   (report, buf)
 
-let run ?(domains = 1) ?(edge_faults = []) ?(clamp_ranks = false)
+let run ?(edge_faults = []) ?(clamp_ranks = false)
     ?(init = Exec.default_init) ~p ~faulty ~rings spec =
   fst
-    (run_internal ~domains ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
+    (run_internal ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
        spec)
 
-let run_with_payload ?(domains = 1) ?(edge_faults = []) ?(clamp_ranks = false)
+let run_with_payload ?(edge_faults = []) ?(clamp_ranks = false)
     ?(init = Exec.default_init) ~p ~faulty ~rings spec =
   let report, buf =
-    run_internal ~domains ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
+    run_internal ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
       spec
   in
   (report, Fa.to_array buf)

@@ -21,16 +21,9 @@
     matrix point.  What changes is cost: zero allocation per hop, and
     work proportional to ranks·phases·chunk_words instead of
     rings·length·phases messages — B(2,22) (4.2M-node) rings become
-    interactive.
-
-    Parallelism: work items are (ring, rank) pairs distributed with
-    {!Graphlib.Sched.parallel_for} under the deterministic-commit
-    discipline — each phase's items write pairwise disjoint arena
-    chunks and read phase-stable sources, so results are bit-identical
-    for any [?domains] (same contract as Exec, qcheck-pinned). *)
+    interactive.  The kernel runs on the calling domain. *)
 
 val run :
-  ?domains:int ->
   ?edge_faults:(int * int) list ->
   ?clamp_ranks:bool ->
   ?init:(ring:int -> rank:int -> chunk:int -> word:int -> int) ->
@@ -48,7 +41,6 @@ val run :
     report for identical inputs. *)
 
 val run_with_payload :
-  ?domains:int ->
   ?edge_faults:(int * int) list ->
   ?clamp_ranks:bool ->
   ?init:(ring:int -> rank:int -> chunk:int -> word:int -> int) ->

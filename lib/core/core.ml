@@ -33,25 +33,22 @@ module Collective_fastpath = Collective.Fastpath
 
 type collective_engine = Netsim | Fastpath
 
-let collective_run ~engine ?domains ?edge_faults ?clamp_ranks ~p ~faulty
-    ~rings spec =
+let collective_run ~engine ?edge_faults ?clamp_ranks ~p ~faulty ~rings spec =
   match engine with
   | Netsim ->
-      Collective.Exec.run ?domains ?edge_faults ?clamp_ranks ~p ~faulty ~rings
-        spec
+      Collective.Exec.run ?edge_faults ?clamp_ranks ~p ~faulty ~rings spec
   | Fastpath ->
-      Collective.Fastpath.run ?domains ?edge_faults ?clamp_ranks ~p ~faulty
-        ~rings spec
+      Collective.Fastpath.run ?edge_faults ?clamp_ranks ~p ~faulty ~rings spec
 
 let fault_free_ring ~d ~n ~faults =
   let p = Word.params ~d ~n in
   Option.map (fun e -> e.Ffc.Embed.cycle) (Ffc.Embed.embed p ~faults)
 
-let fault_free_ring_distributed ?domains ~d ~n ~faults () =
+let fault_free_ring_distributed ~d ~n ~faults () =
   let p = Word.params ~d ~n in
   Option.map
     (fun bstar ->
-      let r = Ffc.Distributed.run ?domains bstar in
+      let r = Ffc.Distributed.run bstar in
       (r.Ffc.Distributed.cycle, r.Ffc.Distributed.stats))
     (Ffc.Bstar.compute p ~faults)
 
@@ -88,20 +85,19 @@ let route ~d ~n ~faults x y =
 let necklace_count ~d ~n = Necklace_count.Count.total ~d ~n
 let necklace_count_of_length ~d ~n ~t = Necklace_count.Count.of_length ~d ~n ~t
 
-let collective_over_fault_free_ring ?domains ?(engine = Netsim)
-    ?(bidirectional = false) ?clamp_ranks ~d ~n ~faults ~op ~ranks
-    ~chunk_words () =
+let collective_over_fault_free_ring ?(engine = Netsim) ?(bidirectional = false)
+    ?clamp_ranks ~d ~n ~faults ~op ~ranks ~chunk_words () =
   let p = Word.params ~d ~n in
   Option.map
     (fun e ->
       let flags = Necklace.mark_faulty_necklaces p faults in
-      collective_run ~engine ?domains ?clamp_ranks ~p
+      collective_run ~engine ?clamp_ranks ~p
         ~faulty:(fun v -> flags.(v))
         ~rings:[ e.Ffc.Embed.cycle ]
         { Collective.Exec.op; ranks; chunk_words; bidirectional })
     (Ffc.Embed.embed p ~faults)
 
-let striped_collective_over_disjoint_rings ?domains ?(engine = Netsim)
+let striped_collective_over_disjoint_rings ?(engine = Netsim)
     ?(bidirectional = false) ?clamp_ranks ?(edge_faults = []) ~d ~n ~k ~op
     ~ranks ~chunk_words () =
   let p = Word.params ~d ~n in
@@ -122,7 +118,7 @@ let striped_collective_over_disjoint_rings ?domains ?(engine = Netsim)
   | _ ->
       let rings = List.map Dhc.Stream.to_nodes streams in
       Some
-        (collective_run ~engine ?domains ~edge_faults ?clamp_ranks ~p
+        (collective_run ~engine ~edge_faults ?clamp_ranks ~p
            ~faulty:(fun _ -> false)
            ~rings
            { Collective.Exec.op; ranks; chunk_words; bidirectional })

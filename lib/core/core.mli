@@ -60,7 +60,6 @@ val fault_free_ring :
     survives. *)
 
 val fault_free_ring_distributed :
-  ?domains:int ->
   d:int ->
   n:int ->
   faults:int list ->
@@ -68,8 +67,7 @@ val fault_free_ring_distributed :
   (int array * Ffc.Distributed.stats) option
 (** The same ring, computed by message passing on the synchronous
     network simulator; the stats report rounds and per-round metrics
-    per protocol phase.  [domains > 1] steps the big simulator rounds
-    in parallel on OCaml 5 domains (bit-identical results). *)
+    per protocol phase. *)
 
 val ring_length_guarantee : d:int -> n:int -> f:int -> int
 (** dⁿ − n·f — the Proposition 2.2 floor (valid for f ≤ d−2). *)
@@ -115,7 +113,6 @@ type collective_engine = Netsim | Fastpath
         inputs — the agreement is qcheck-pinned. *)
 
 val collective_over_fault_free_ring :
-  ?domains:int ->
   ?engine:collective_engine ->
   ?bidirectional:bool ->
   ?clamp_ranks:bool ->
@@ -133,7 +130,6 @@ val collective_over_fault_free_ring :
     the reduced values.  [None] when no ring survives the fault set. *)
 
 val striped_collective_over_disjoint_rings :
-  ?domains:int ->
   ?engine:collective_engine ->
   ?bidirectional:bool ->
   ?clamp_ranks:bool ->

@@ -16,7 +16,7 @@ type point = {
 (* Per-trial generators are substreams of (campaign seed, f, trial)
    alone — Util.Rng.split, the seeding scheme shared with
    Ffc.Campaign — so the per-trial fault samples, and hence every
-   statistic except wall_s, are bit-identical at any ?domains. *)
+   statistic except wall_s, depend on nothing but (seed, f, trial). *)
 let trial_rng ~seed ~f ~trial = Util.Rng.split seed ((1_000_003 * f) + trial)
 
 (* Node masking materializes B* over all dⁿ nodes; past this size the
@@ -40,32 +40,12 @@ let run_trial ~d ~n ~f rng =
             | None -> (`Failed, 0)
           else (`Failed, 0))
 
-let map_trials ~domains ~trials f =
-  if domains <= 1 then Array.init trials f
-  else begin
-    let out = Array.make trials (`Failed, 0) in
-    let workers =
-      List.init (min domains trials) (fun w ->
-          Domain.spawn (fun () ->
-              let i = ref w in
-              while !i < trials do
-                out.(!i) <- f !i;
-                i := !i + domains
-              done))
-    in
-    List.iter Domain.join workers;
-    out
-  end
-
-let point ~domains ~trials ~seed ~d ~n f =
+let point ~trials ~seed ~d ~n f =
   let t0 = (Unix.gettimeofday () [@lint.allow "R1 wall_s is a reported statistic, never branched on"]) in
   let minor = Array.make trials 0. in
   let major = Array.make trials 0. in
-  (* GC counters are read around each trial, in the trial's own domain
-     (Gc.counters is domain-local; map_trials runs a trial wholly in
-     one worker). *)
   let outcomes =
-    map_trials ~domains ~trials (fun trial ->
+    Array.init trials (fun trial ->
         let m0, _, j0 = Gc.counters () in
         let outcome = run_trial ~d ~n ~f (trial_rng ~seed ~f ~trial) in
         let m1, _, j1 = Gc.counters () in
@@ -97,7 +77,7 @@ let point ~domains ~trials ~seed ~d ~n f =
     major_words_per_trial = Array.fold_left min major.(0) major;
   }
 
-let run ?(domains = 1) ?(trials = 20) ?(seed = 0x5eed) ?fmax ~d ~n () =
+let run ?(trials = 20) ?(seed = 0x5eed) ?fmax ~d ~n () =
   if trials < 1 then invalid_arg "Campaign.run: trials < 1";
   let p = W.params ~d ~n in
   let fmax =
@@ -106,4 +86,4 @@ let run ?(domains = 1) ?(trials = 20) ?(seed = 0x5eed) ?fmax ~d ~n () =
     | Some f -> min f (p.W.size * p.W.d)
     | None -> min ((2 * Psi.max_tolerance d) + 2) (p.W.size * p.W.d)
   in
-  List.init (fmax + 1) (fun f -> point ~domains ~trials ~seed ~d ~n f)
+  List.init (fmax + 1) (fun f -> point ~trials ~seed ~d ~n f)

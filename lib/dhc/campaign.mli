@@ -24,12 +24,11 @@ type point = {
   wall_s : float;
   minor_words_per_trial : float;
       (** steady-state minor-heap words allocated by one trial (minimum
-          across the point's trials, read in the trial's own domain) *)
+          across the point's trials) *)
   major_words_per_trial : float;  (** likewise for the major heap *)
 }
 
 val run :
-  ?domains:int ->
   ?trials:int ->
   ?seed:int ->
   ?fmax:int ->
@@ -38,8 +37,8 @@ val run :
   unit ->
   point list
 (** Points for f = 0, 1, …, fmax (default 2·MAX(ψ(d)−1, φ(d)) + 2,
-    clamped to the edge count dⁿ·d).  [?domains] parallelizes the
-    trials of each point; per-trial seeds are derived from [seed], [f]
-    and the trial index, so every field except [wall_s] and the
-    measured allocation counters is independent of [domains].
+    clamped to the edge count dⁿ·d).  Per-trial seeds are derived from
+    [seed], [f] and the trial index alone, so every field except
+    [wall_s] and the measured allocation counters is a pure function of
+    the arguments.
     Defaults: 20 trials, seed 0x5eed. *)

@@ -60,13 +60,13 @@ let finish p faults necklace_faulty (in_bstar : Fa.Byte.t) ~get start len
    whole weak component, at half the edge work of the symmetric
    closure. *)
 
-let compute ?root_hint ?domains ?ws p ~faults =
+let compute ?root_hint ?ws p ~faults =
   match ws with
   | None ->
       let necklace_faulty = Fa.Byte.create p.W.size in
       mark_faulty_necklaces_byte p faults necklace_faulty;
       let members =
-        It.largest_weak_component ?domains ~n:p.W.size ~succs:(succs p)
+        It.largest_weak_component ~n:p.W.size ~succs:(succs p)
           ~preds:It.no_preds
           ~keep:(fun v -> necklace_faulty.{v} = 0)
           ()
@@ -83,7 +83,7 @@ let compute ?root_hint ?domains ?ws p ~faults =
       let necklace_faulty = w.Workspace.necklace_faulty in
       mark_faulty_necklaces_byte p faults necklace_faulty;
       let order, start, len =
-        It.largest_weak_component_span ?domains ~ws:w.Workspace.it
+        It.largest_weak_component_span ~ws:w.Workspace.it
           ~n:p.W.size ~succs:(succs p) ~preds:It.no_preds
           ~keep:(fun v -> necklace_faulty.{v} = 0)
           ()
@@ -144,7 +144,7 @@ let necklace_count t =
   done;
   !count
 
-let eccentricity_of_root ?domains ?ws t =
+let eccentricity_of_root ?ws t =
   let itws =
     match ws with
     | None -> None
@@ -153,7 +153,7 @@ let eccentricity_of_root ?domains ?ws t =
         Some w.Workspace.it
   in
   let in_bstar = t.in_bstar in
-  It.eccentricity ?domains ?ws:itws ~n:t.p.W.size ~succs:(succs t.p)
+  It.eccentricity ?ws:itws ~n:t.p.W.size ~succs:(succs t.p)
     ~keep:(fun v -> in_bstar.{v} <> 0)
     t.root
 

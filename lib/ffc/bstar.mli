@@ -29,7 +29,6 @@ type t = {
 
 val compute :
   ?root_hint:int ->
-  ?domains:int ->
   ?ws:Workspace.t ->
   Debruijn.Word.params ->
   faults:int list ->
@@ -40,7 +39,6 @@ val compute :
     component (the thesis's tables use R = 0…01); otherwise the smallest
     necklace representative in the component.  Ties between equal-size
     components break toward the one containing the smallest node.
-    [?domains] parallelizes the component BFS (bit-identical result).
     With [?ws] the sweep is allocation-free and the result's
     [necklace_faulty]/[in_bstar] alias workspace arrays (valid until
     the workspace's next use; contents bit-identical to fresh). *)
@@ -64,7 +62,7 @@ val nodes : t -> int list
 val necklace_count : t -> int
 (** Number of live necklaces inside B\u{2217}. *)
 
-val eccentricity_of_root : ?domains:int -> ?ws:Workspace.t -> t -> int
+val eccentricity_of_root : ?ws:Workspace.t -> t -> int
 (** max distance from the root within B\u{2217} — the broadcast round count
     of Step 1.1.  (With [?ws] this clobbers the workspace's traversal
     state, including any [Spanning.tree.dist] aliasing it.) *)

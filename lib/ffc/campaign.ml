@@ -24,8 +24,35 @@ let nothing = { osize = 0; oring = 0; oecc = 0; over = false; oerr = false }
 (* Per-trial generators are substreams of (campaign seed, f, trial)
    alone — the same Rng.split scheme as Dhc.Campaign — so the fault
    samples, and hence every statistic except the wall/GC figures, are
-   bit-identical at any ?domains and with or without workspace reuse. *)
+   bit-identical at any worker count and with or without workspace
+   reuse. *)
 let trial_rng ~seed ~f ~trial = Util.Rng.split seed ((1_000_003 * f) + trial)
+
+let workers ~domains ~trials =
+  max 1 (min domains (min trials (Domain.recommended_domain_count ())))
+
+(* The library's one parallel site.  Trials 0 … trials−1 are strided
+   over [nworkers] workers, one workspace each: worker w runs trials
+   w, w + nworkers, … with [wss.(w)] (none when [wss] is empty);
+   worker 0 is the calling domain, the others are spawned.  [trial ws
+   i] runs wholly in one domain, so it may bracket itself with
+   Gc.counters (domain-local), and it must store its results at slot
+   i only — aggregation order, and every derived statistic, is then
+   independent of scheduling. *)
+let strided ~nworkers ~trials ~(wss : Workspace.t array) trial =
+  let worker w =
+    let ws = if Array.length wss = 0 then None else Some wss.(w) in
+    let i = ref w in
+    while !i < trials do
+      trial ws !i;
+      i := !i + nworkers
+    done
+  in
+  let spawned =
+    List.init (nworkers - 1) (fun w -> Domain.spawn (fun () -> worker (w + 1)))
+  in
+  worker 0;
+  List.iter Domain.join spawned
 
 let length_bound p f =
   if f >= 0 && f <= p.W.d - 2 then Some (p.W.size - (p.W.n * f))
@@ -53,37 +80,17 @@ let run_trial ~p ~ws ~seed ~f trial =
          trial is recorded as failed instead of aborting the sweep. *)
       { nothing with oerr = true }
 
-let point ~domains ~trials ~seed ~(wss : Workspace.t array) ~p f =
+let point ~nworkers ~trials ~seed ~wss ~p f =
   let t0 = (Unix.gettimeofday () [@lint.allow "R1 wall_s is a reported statistic, never branched on"]) in
   let out = Array.make trials nothing in
-  let nworkers = if domains <= 1 then 1 else min domains trials in
   let minor = Array.make trials 0. in
   let major = Array.make trials 0. in
-  (* Strided trial assignment, one workspace per worker: worker w runs
-     trials w, w+nworkers, …  Outcomes land at their trial index, so
-     aggregation order — and every derived statistic — is independent
-     of scheduling.  GC counters are read per trial, in the trial's own
-     domain (Gc.counters is domain-local). *)
-  let worker w =
-    let ws = if Array.length wss = 0 then None else Some wss.(w) in
-    let i = ref w in
-    while !i < trials do
+  strided ~nworkers ~trials ~wss (fun ws i ->
       let m0, _, j0 = Gc.counters () in
-      out.(!i) <- run_trial ~p ~ws ~seed ~f !i;
+      out.(i) <- run_trial ~p ~ws ~seed ~f i;
       let m1, _, j1 = Gc.counters () in
-      minor.(!i) <- m1 -. m0;
-      major.(!i) <- j1 -. j0;
-      i := !i + nworkers
-    done
-  in
-  if nworkers = 1 then worker 0
-  else begin
-    let spawned =
-      List.init (nworkers - 1) (fun w -> Domain.spawn (fun () -> worker (w + 1)))
-    in
-    worker 0;
-    List.iter Domain.join spawned
-  end;
+      minor.(i) <- m1 -. m0;
+      major.(i) <- j1 -. j0);
   let wall_s = (Unix.gettimeofday () [@lint.allow "R1 wall_s is a reported statistic, never branched on"]) -. t0 in
   let embedded = ref 0 and verified = ref 0 and errors = ref 0 in
   let sb = ref 0 and sr = ref 0 and se = ref 0 in
@@ -150,6 +157,8 @@ type churn_point = {
   mean_live_faults : float;
   cwall_s : float;
   median_event_s : float;
+  p90_event_s : float;
+  p99_event_s : float;
   max_event_s : float;
   minor_words_per_event : float;
   major_words_per_event : float;
@@ -235,34 +244,18 @@ let churn_trial ~p ~ws ~seed ~target ~events ~ev_wall trial =
       }
   | exception Pipeline_error.Error _ -> churn_nothing
 
-let churn_point ~domains ~trials ~seed ~events ~(wss : Workspace.t array) ~p
-    target =
+let churn_point ~nworkers ~trials ~seed ~events ~wss ~p target =
   let t0 = (Unix.gettimeofday () [@lint.allow "R1 wall_s is a reported statistic, never branched on"]) in
   let out = Array.make trials churn_nothing in
-  let nworkers = if domains <= 1 then 1 else min domains trials in
   let ev_wall = Array.make (trials * events) 0. in
   let minor = Array.make trials 0. in
   let major = Array.make trials 0. in
-  let worker w =
-    let ws = if Array.length wss = 0 then None else Some wss.(w) in
-    let i = ref w in
-    while !i < trials do
+  strided ~nworkers ~trials ~wss (fun ws i ->
       let m0, _, j0 = Gc.counters () in
-      out.(!i) <- churn_trial ~p ~ws ~seed ~target ~events ~ev_wall !i;
+      out.(i) <- churn_trial ~p ~ws ~seed ~target ~events ~ev_wall i;
       let m1, _, j1 = Gc.counters () in
-      minor.(!i) <- (m1 -. m0) /. float_of_int events;
-      major.(!i) <- (j1 -. j0) /. float_of_int events;
-      i := !i + nworkers
-    done
-  in
-  if nworkers = 1 then worker 0
-  else begin
-    let spawned =
-      List.init (nworkers - 1) (fun w -> Domain.spawn (fun () -> worker (w + 1)))
-    in
-    worker 0;
-    List.iter Domain.join spawned
-  end;
+      minor.(i) <- (m1 -. m0) /. float_of_int events;
+      major.(i) <- (j1 -. j0) /. float_of_int events);
   let cwall_s = (Unix.gettimeofday () [@lint.allow "R1 wall_s is a reported statistic, never branched on"]) -. t0 in
   let cfaults = ref 0 and crepairs = ref 0 and cerrors = ref 0 in
   let pat = ref 0 and rec_ = ref 0 and unc = ref 0 in
@@ -294,6 +287,11 @@ let churn_point ~domains ~trials ~seed ~events ~(wss : Workspace.t array) ~p
     out;
   Array.sort Float.compare lat;
   let nlat = ok_trials * events in
+  (* nearest-rank percentile: the smallest latency with at least
+     pct% of the events at or below it *)
+  let percentile pct =
+    if nlat = 0 then 0. else lat.(max 0 ((((pct * nlat) + 99) / 100) - 1))
+  in
   let median_event_s = if nlat = 0 then 0. else lat.(nlat / 2) in
   let max_event_s = if nlat = 0 then 0. else lat.(nlat - 1) in
   let steady a = Array.fold_left min a.(0) a in
@@ -313,6 +311,8 @@ let churn_point ~domains ~trials ~seed ~events ~(wss : Workspace.t array) ~p
     mean_live_faults = float_of_int !sfend /. tf;
     cwall_s;
     median_event_s;
+    p90_event_s = percentile 90;
+    p99_event_s = percentile 99;
     max_event_s;
     minor_words_per_event = steady minor;
     major_words_per_event = steady major;
@@ -335,14 +335,13 @@ let churn ?(domains = 1) ?(trials = 10) ?(seed = 0x5eed) ?targets
         l
     | None -> List.filter (fun t -> t <= p.W.size) default_fault_counts
   in
+  let nworkers = workers ~domains ~trials in
   let wss =
-    if reuse then
-      Array.init
-        (if domains <= 1 then 1 else min domains trials)
-        (fun _ -> Workspace.create p)
-    else [||]
+    if reuse then Array.init nworkers (fun _ -> Workspace.create p) else [||]
   in
-  List.map (fun t -> churn_point ~domains ~trials ~seed ~events ~wss ~p t) targets
+  List.map
+    (fun t -> churn_point ~nworkers ~trials ~seed ~events ~wss ~p t)
+    targets
 
 let run ?(domains = 1) ?(trials = 20) ?(seed = 0x5eed) ?fs ?(reuse = true) ~d
     ~n () =
@@ -360,11 +359,8 @@ let run ?(domains = 1) ?(trials = 20) ?(seed = 0x5eed) ?fs ?(reuse = true) ~d
         l
     | None -> List.filter (fun f -> f <= p.W.size) default_fault_counts
   in
+  let nworkers = workers ~domains ~trials in
   let wss =
-    if reuse then
-      Array.init
-        (if domains <= 1 then 1 else min domains trials)
-        (fun _ -> Workspace.create p)
-    else [||]
+    if reuse then Array.init nworkers (fun _ -> Workspace.create p) else [||]
   in
-  List.map (fun f -> point ~domains ~trials ~seed ~wss ~p f) fs
+  List.map (fun f -> point ~nworkers ~trials ~seed ~wss ~p f) fs

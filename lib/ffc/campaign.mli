@@ -8,12 +8,15 @@
     length-bound checks — len ≥ dⁿ − nf when f ≤ d−2, and
     len ≥ 2ⁿ − (n+1) for d = 2, f = 1.
 
-    Trials reuse one {!Workspace.t} per domain (workspaces are created
-    once per [run]), so a steady-state trial allocates almost nothing
-    beyond its result ring; [~reuse:false] runs the identical trials
-    through the fresh-allocation path, as the benchmarked baseline.
-    Statistics are bit-identical across [?domains] and [?reuse] — only
-    the wall/GC figures differ. *)
+    Trials are the library's one parallel site: [?domains] strides them
+    over {!workers} worker domains, trial i landing at slot i, and
+    each embed inside a trial runs on one domain.  Trials reuse one
+    {!Workspace.t} per worker (workspaces are created once per [run]),
+    so a steady-state trial allocates almost nothing beyond its result
+    ring; [~reuse:false] runs the identical trials through the
+    fresh-allocation path, as the benchmarked baseline.  Statistics are
+    bit-identical across [?domains] and [?reuse] — only the wall/GC
+    figures differ. *)
 
 type point = {
   f : int;  (** number of random node faults injected *)
@@ -42,6 +45,13 @@ type point = {
       (** same minimum; includes the trial's result ring *)
 }
 
+val workers : domains:int -> trials:int -> int
+(** The worker count a campaign of [trials] trials runs on when
+    [domains] are requested: [domains] clamped to [1 ..
+    min trials (Domain.recommended_domain_count ())].  Statistics do not
+    depend on it, so asking for more domains than the machine has is
+    harmless. *)
+
 val length_bound : Debruijn.Word.params -> int -> int option
 (** The applicable Proposition 2.2/2.3 lower bound on ring length, or
     [None] when neither proposition covers (d, f). *)
@@ -58,7 +68,7 @@ val run :
   point list
 (** One point per fault count in [fs] (default [[1; 5; 10; 30; 50]]
     filtered to ≤ dⁿ — the thesis's Table 2.1/2.2 rows).  [?domains]
-    runs trials strided across that many domains, one workspace each;
+    runs trials strided across {!workers} domains, one workspace each;
     per-trial generators come from [Util.Rng.split] on [(seed, f,
     trial)], so every field except [wall_s] and the GC counters is
     independent of [domains] and [reuse].  Defaults: 20 trials, seed
@@ -91,6 +101,8 @@ type churn_point = {
   mean_live_faults : float;  (** outstanding faults at trial end *)
   cwall_s : float;
   median_event_s : float;  (** median {!Live.apply} latency *)
+  p90_event_s : float;  (** nearest-rank 90th-percentile latency *)
+  p99_event_s : float;  (** nearest-rank 99th-percentile latency *)
   max_event_s : float;
   minor_words_per_event : float;
       (** steady-state minor-heap words per event (minimum across
@@ -115,7 +127,7 @@ val churn :
   unit ->
   churn_point list
 (** One point per equilibrium target (default [[1; 5; 10; 30; 50]]
-    filtered to ≤ dⁿ).  [?domains] strides trials across domains with
-    one {!Live.t} and one workspace each; [~reuse:false] drops the
+    filtered to ≤ dⁿ).  [?domains] strides trials across {!workers}
+    domains with one {!Live.t} and one workspace each; [~reuse:false] drops the
     workspaces (the batch fallbacks then allocate their own arenas).
     Defaults: 10 trials, 100 events, seed 0x5eed. *)

@@ -26,7 +26,7 @@ type t = {
 
 type probe_msg = { origin : int; hops : int }
 
-let probe_phase ?domains (bstar : Bstar.t) =
+let probe_phase (bstar : Bstar.t) =
   let p = bstar.Bstar.p in
   let faulty v = List.mem v bstar.Bstar.faults in
   let proto : (bool, probe_msg) S.protocol =
@@ -47,7 +47,7 @@ let probe_phase ?domains (bstar : Bstar.t) =
       wants_step = (fun _ -> false);
     }
   in
-  S.run ?domains ~topology:(Lazy.force bstar.Bstar.graph) ~faulty proto
+  S.run ~topology:(Lazy.force bstar.Bstar.graph) ~faulty proto
 
 let live_necklace_flags bstar =
   let r = probe_phase bstar in
@@ -58,7 +58,7 @@ let live_necklace_flags bstar =
 
 type bcast_state = { dist : int; parent : int }
 
-let broadcast_phase ?domains (bstar : Bstar.t) (live : bool array) =
+let broadcast_phase (bstar : Bstar.t) (live : bool array) =
   let p = bstar.Bstar.p in
   let root = bstar.Bstar.root in
   let faulty v = List.mem v bstar.Bstar.faults in
@@ -83,7 +83,7 @@ let broadcast_phase ?domains (bstar : Bstar.t) (live : bool array) =
       wants_step = (fun _ -> false);
     }
   in
-  S.run ?domains ~topology:(Lazy.force bstar.Bstar.graph) ~faulty proto
+  S.run ~topology:(Lazy.force bstar.Bstar.graph) ~faulty proto
 
 (* ------------------------------------------------------------------ *)
 (* Phase 3: elect the earliest-reached node Y of each necklace. *)
@@ -94,7 +94,7 @@ type choose_msg = { cand : candidate; chops : int }
 let better a b =
   if a.cdist <> b.cdist then a.cdist < b.cdist else a.cnode < b.cnode
 
-let choose_phase ?domains (bstar : Bstar.t) (bc : bcast_state array) =
+let choose_phase (bstar : Bstar.t) (bc : bcast_state array) =
   let p = bstar.Bstar.p in
   let faulty v = List.mem v bstar.Bstar.faults in
   let participates v = bc.(v).dist >= 0 || v = bstar.Bstar.root in
@@ -121,7 +121,7 @@ let choose_phase ?domains (bstar : Bstar.t) (bc : bcast_state array) =
       wants_step = (fun _ -> false);
     }
   in
-  S.run ?domains ~topology:(Lazy.force bstar.Bstar.graph) ~faulty proto
+  S.run ~topology:(Lazy.force bstar.Bstar.graph) ~faulty proto
 
 (* ------------------------------------------------------------------ *)
 (* Phases 4+5: exchange T_w announcements, then circulate membership. *)
@@ -147,7 +147,7 @@ let merge_fragment (frag : fragment) w entries : fragment =
 let merge_fragments (a : fragment) (b : fragment) : fragment =
   List.fold_left (fun acc (w, es) -> merge_fragment acc w es) a b
 
-let exchange_phase ?domains (bstar : Bstar.t) (chosen : candidate option array) =
+let exchange_phase (bstar : Bstar.t) (chosen : candidate option array) =
   let p = bstar.Bstar.p in
   let faulty v = List.mem v bstar.Bstar.faults in
   let root_rep = Nk.canonical p bstar.Bstar.root in
@@ -199,11 +199,11 @@ let exchange_phase ?domains (bstar : Bstar.t) (chosen : candidate option array) 
       wants_step = (fun _ -> false);
     }
   in
-  S.run ?domains ~topology:(Lazy.force bstar.Bstar.graph) ~faulty proto
+  S.run ~topology:(Lazy.force bstar.Bstar.graph) ~faulty proto
 
 type member_msg = { mfrag : fragment; mhops : int }
 
-let membership_phase ?domains (bstar : Bstar.t) (chosen : candidate option array)
+let membership_phase (bstar : Bstar.t) (chosen : candidate option array)
     (frags : fragment array) =
   let p = bstar.Bstar.p in
   let faulty v = List.mem v bstar.Bstar.faults in
@@ -229,7 +229,7 @@ let membership_phase ?domains (bstar : Bstar.t) (chosen : candidate option array
       wants_step = (fun _ -> false);
     }
   in
-  S.run ?domains ~topology:(Lazy.force bstar.Bstar.graph) ~faulty proto
+  S.run ~topology:(Lazy.force bstar.Bstar.graph) ~faulty proto
 
 (* ------------------------------------------------------------------ *)
 (* Local successor computation and the driver. *)
@@ -248,16 +248,16 @@ let successor_of (p : W.params) v (frag : fragment) =
       let next = arr.((i + 1) mod k) in
       W.snoc p w next.digit
 
-let run ?domains (bstar : Bstar.t) =
+let run (bstar : Bstar.t) =
   let p = bstar.Bstar.p in
-  let r1 = probe_phase ?domains bstar in
+  let r1 = probe_phase bstar in
   let live = r1.S.states in
-  let r2 = broadcast_phase ?domains bstar live in
+  let r2 = broadcast_phase bstar live in
   let bc = r2.S.states in
-  let r3 = choose_phase ?domains bstar bc in
+  let r3 = choose_phase bstar bc in
   let chosen = r3.S.states in
-  let r4 = exchange_phase ?domains bstar chosen in
-  let r5 = membership_phase ?domains bstar chosen r4.S.states in
+  let r4 = exchange_phase bstar chosen in
+  let r5 = membership_phase bstar chosen r4.S.states in
   let frags = r5.S.states in
   let successor = Array.make p.W.size (-1) in
   for v = 0 to p.W.size - 1 do

@@ -54,7 +54,7 @@ type t = {
   stats : stats;
 }
 
-val run : ?domains:int -> Bstar.t -> t
+val run : Bstar.t -> t
 (** Execute all phases on B(d,n) with the fault set of the given B\u{2217}
     (the B\u{2217} itself is only used for the root choice and for reading
     off the final cycle; every decision inside the phases is made by the

@@ -1,6 +1,5 @@
 module W = Debruijn.Word
 module Fa = Graphlib.Flatarr
-module Sched = Graphlib.Sched
 
 type t = {
   bstar : Bstar.t;
@@ -9,7 +8,7 @@ type t = {
   cycle : int array;
 }
 
-let successor_map ?domains ?ws (m : Spanning.modified) =
+let successor_map ?ws (m : Spanning.modified) =
   let bstar = m.Spanning.tree.Spanning.adj.Adjacency.bstar in
   let p = bstar.Bstar.p in
   let in_bstar = bstar.Bstar.in_bstar in
@@ -24,31 +23,15 @@ let successor_map ?domains ?ws (m : Spanning.modified) =
   in
   (* One flat pass: exit nodes of D-edges jump to the recorded entry
      node, everyone else follows its necklace (rotate left, inlined:
-     W.rotl without the per-call range check).  Each slot is written
-     once with a value depending only on read-only inputs, so chunking
-     the pass across the work-stealing pool is trivially
-     deterministic. *)
+     W.rotl without the per-call range check). *)
   let d = p.W.d in
   let stride = p.W.size / d in
-  let fill lo hi =
-    for x = lo to hi - 1 do
-      if in_bstar.{x} <> 0 then
-        succ.{x} <-
-          (if override.{x} >= 0 then override.{x}
-           else (x mod stride * d) + (x / stride))
-    done
-  in
-  (match domains with
-  | Some k when k > 1 && p.W.size >= Graphlib.Itopo.par_threshold ->
-      Sched.with_pool ~domains:k (fun pool ->
-          Sched.parallel_for pool ~chunk:Graphlib.Itopo.chunk_size ~lo:0
-            ~hi:p.W.size
-            (fun _ clo chi ->
-              (fill clo chi
-              [@lint.par_write
-                "fill writes succ.{x} only for x in [clo, chi) — the \
-                 chunk range itself — from read-only in_bstar/override"])))
-  | _ -> fill 0 p.W.size);
+  for x = 0 to p.W.size - 1 do
+    if in_bstar.{x} <> 0 then
+      succ.{x} <-
+        (if override.{x} >= 0 then override.{x}
+         else (x mod stride * d) + (x / stride))
+  done;
   succ
 
 let[@inline never] not_closed () =
@@ -114,18 +97,18 @@ let ring_of_successor (b : Bstar.t) (succ : Fa.t) =
   if succ.{!x} <> root then not_closed ();
   ring
 
-let of_bstar ?domains ?ws bstar =
+let of_bstar ?ws bstar =
   let adj = Adjacency.build ?ws bstar in
-  let tree = Spanning.build ?domains ?ws adj in
+  let tree = Spanning.build ?ws adj in
   let modified = Spanning.modify ?ws tree in
-  let successor = successor_map ?domains ?ws modified in
+  let successor = successor_map ?ws modified in
   (* The ring is the trial's one fresh result either way — everything
      feeding it lives in the workspace when [?ws] is given. *)
   let cycle = ring_of_successor bstar successor in
   { bstar; modified; successor; cycle }
 
-let embed ?root_hint ?domains ?ws p ~faults =
-  Option.map (of_bstar ?domains ?ws) (Bstar.compute ?root_hint ?domains ?ws p ~faults)
+let embed ?root_hint ?ws p ~faults =
+  Option.map (of_bstar ?ws) (Bstar.compute ?root_hint ?ws p ~faults)
 
 let verify ?ws t =
   let b = t.bstar in

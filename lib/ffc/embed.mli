@@ -20,10 +20,9 @@ type t = {
           embed, |B\u{2217}| words, written by {!ring_of_successor} *)
 }
 
-val successor_map :
-  ?domains:int -> ?ws:Workspace.t -> Spanning.modified -> Graphlib.Flatarr.t
-(** [?domains] chunks the flat pass across the work-stealing pool
-    (disjoint slots, bit-identical result). *)
+val successor_map : ?ws:Workspace.t -> Spanning.modified -> Graphlib.Flatarr.t
+(** One flat pass over the node ids: −1 outside B\u{2217}, the D-edge
+    entry at exit nodes, the necklace rotation elsewhere. *)
 
 val ring_of_successor : Bstar.t -> Graphlib.Flatarr.t -> int array
 (** Close the successor map into H: |B\u{2217}| nodes from the root, in
@@ -36,9 +35,8 @@ val ring_of_successor : Bstar.t -> Graphlib.Flatarr.t -> int array
     entry, returns to the root early or not at step |B\u{2217}|.
     @raise Invalid_argument if the map does not have dⁿ entries. *)
 
-val of_bstar : ?domains:int -> ?ws:Workspace.t -> Bstar.t -> t
-(** Run steps 1–3 on an already-computed B\u{2217}.  [?domains]
-    parallelizes the BFS levels (bit-identical result).
+val of_bstar : ?ws:Workspace.t -> Bstar.t -> t
+(** Run steps 1–3 on an already-computed B\u{2217}.
     @raise Pipeline_error.Error if the successor map does not close
     into a Hamiltonian cycle — impossible (Proposition 2.1) on a B\u{2217}
     produced by {!Bstar.compute}, and a typed, recoverable condition
@@ -46,7 +44,6 @@ val of_bstar : ?domains:int -> ?ws:Workspace.t -> Bstar.t -> t
 
 val embed :
   ?root_hint:int ->
-  ?domains:int ->
   ?ws:Workspace.t ->
   Debruijn.Word.params ->
   faults:int list ->

@@ -38,7 +38,6 @@ let vec_push v x =
 type t = {
   p : W.params;
   root_hint : int option;
-  domains : int option;
   ws : Workspace.t option;
   (* ---- the current fault set ---- *)
   faulty : bool array;  (* per node *)
@@ -242,7 +241,7 @@ let recompute t =
   t.c_recomputed <- t.c_recomputed + 1;
   let faults = current_faults t in
   match
-    Embed.embed ?root_hint:t.root_hint ?domains:t.domains ?ws:t.ws t.p ~faults
+    Embed.embed ?root_hint:t.root_hint ?ws:t.ws t.p ~faults
   with
   | None -> set_empty t
   | Some e -> load t e
@@ -744,14 +743,13 @@ let apply t ev =
 
 (* ------------------------------------------------------------------ *)
 
-let create ?root_hint ?domains ?ws p ~faults =
+let create ?root_hint ?ws p ~faults =
   (match ws with Some w -> Workspace.check w p | None -> ());
   let sz = p.W.size in
   let t =
     {
       p;
       root_hint;
-      domains;
       ws;
       faulty = Array.make sz false;
       nk_faults = Hashtbl.create 64;
@@ -805,7 +803,7 @@ let create ?root_hint ?domains ?ws p ~faults =
       end)
     faults;
   (match
-     Embed.embed ?root_hint ?domains ?ws p ~faults:(current_faults t)
+     Embed.embed ?root_hint ?ws p ~faults:(current_faults t)
    with
   | None -> set_empty t
   | Some e -> load t e);

@@ -64,7 +64,7 @@ let successor_of (p : W.params) v frag =
       let rec find i = if arr.(i).rep = my_rep then i else find (i + 1) in
       W.snoc p w arr.((find 0 + 1) mod k).digit
 
-let run ?domains (bstar : Bstar.t) =
+let run (bstar : Bstar.t) =
   let p = bstar.Bstar.p in
   let n = p.W.n in
   let root = bstar.Bstar.root in
@@ -176,7 +176,7 @@ let run ?domains (bstar : Bstar.t) =
     }
   in
   let r =
-    S.run ?domains ~max_rounds:(total + 8) ~topology:(Lazy.force bstar.Bstar.graph) ~faulty
+    S.run ~max_rounds:(total + 8) ~topology:(Lazy.force bstar.Bstar.graph) ~faulty
       proto
   in
   let successor = Array.make p.W.size (-1) in

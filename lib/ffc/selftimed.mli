@@ -38,9 +38,8 @@ type t = {
 val schedule_length : n:int -> int
 (** 5n + 4. *)
 
-val run : ?domains:int -> Bstar.t -> t
-(** Execute the self-timed protocol.  [domains] is passed to
-    {!Netsim.Simulator.run} for parallel stepping of the big rounds.
+val run : Bstar.t -> t
+(** Execute the self-timed protocol.
     @raise Pipeline_error.Error if the successor map does not close
     into a cycle (possible only beyond the f ≤ d−2 guarantee, when
     2n+1 rounds do not suffice for the broadcast). *)

@@ -1,7 +1,6 @@
 module W = Debruijn.Word
 module Fa = Graphlib.Flatarr
 module It = Graphlib.Itopo
-module Sched = Graphlib.Sched
 
 type tree = {
   adj : Adjacency.t;
@@ -24,39 +23,7 @@ let rec find_parent (in_bstar : Fa.Byte.t) (dist : Fa.t) stride d pre dv a =
     if in_bstar.{u} <> 0 && dist.{u} = dv - 1 then u
     else find_parent in_bstar dist stride d pre dv (a + 1)
 
-(* The T′ parent scan writes one slot per reached node, each a pure
-   function of the (already final) dist array — so chunking the
-   discovery order across a work-stealing pool is trivially
-   deterministic: every slot gets the same value no matter which domain
-   writes it.  Worth parallelizing: at B(2,22) this pass is a quarter
-   of the pipeline. *)
-let fill_parents ?domains ~(bfs : It.bfs) ~in_bstar ~node_parent ~stride ~d ()
-    =
-  let dist = bfs.It.dist in
-  let order = bfs.It.order in
-  let scan i =
-    let v = order.{i} in
-    node_parent.{v} <- find_parent in_bstar dist stride d (v / d) dist.{v} 0
-  in
-  match domains with
-  | Some k when k > 1 && bfs.It.count >= It.par_threshold ->
-      Sched.with_pool ~domains:k (fun pool ->
-          Sched.parallel_for pool ~chunk:It.chunk_size ~lo:1 ~hi:bfs.It.count
-            (fun _ clo chi ->
-              for i = clo to chi - 1 do
-                (scan i
-                [@lint.par_write
-                  "scan i writes only node_parent.{order.{i}}, and the \
-                   discovery order is a permutation — distinct i, \
-                   distinct slot; the value is a pure function of the \
-                   final dist array"])
-              done))
-  | _ ->
-      for i = 1 to bfs.It.count - 1 do
-        scan i
-      done
-
-let build ?domains ?ws (adj : Adjacency.t) =
+let build ?ws (adj : Adjacency.t) =
   let bstar = adj.Adjacency.bstar in
   let p = bstar.Bstar.p in
   let size = p.W.size in
@@ -66,7 +33,7 @@ let build ?domains ?ws (adj : Adjacency.t) =
   (match ws with Some w -> Workspace.check w p | None -> ());
   let itws = match ws with None -> None | Some w -> Some w.Workspace.it in
   let bfs =
-    It.bfs ?domains ?ws:itws ~n:size
+    It.bfs ?ws:itws ~n:size
       ~succs:(fun x f -> W.iter_succs p x f)
       ~keep:in_bstar root
   in
@@ -90,8 +57,12 @@ let build ?domains ?ws (adj : Adjacency.t) =
         w.Workspace.node_parent
   in
   let stride = size / p.W.d in
-  fill_parents ?domains ~bfs ~in_bstar:in_bstar_arr ~node_parent ~stride
-    ~d:p.W.d ();
+  let order = bfs.It.order in
+  for i = 1 to bfs.It.count - 1 do
+    let v = order.{i} in
+    node_parent.{v} <-
+      find_parent in_bstar_arr dist stride p.W.d (v / p.W.d) dist.{v} 0
+  done;
   let m = Array.length adj.Adjacency.reps in
   let root_idx = adj.Adjacency.idx_of_node.{root} in
   (* Necklace-level arrays: workspace capacity is the fault-free

@@ -12,11 +12,7 @@
     The height-one property of every T_w follows because sibling nodes
     wα and wβ share their full predecessor set, hence their T′ parent.
 
-    The BFS runs over the arithmetic iterators (no graph is built) and
-    accepts [?domains]: large levels expand through the work-stealing
-    pool, and the T′ parent scan is chunked across it too (each slot is
-    a pure function of the final dist array) — the result is
-    bit-identical to the sequential run. *)
+    The BFS runs over the arithmetic iterators (no graph is built). *)
 
 type tree = {
   adj : Adjacency.t;
@@ -34,7 +30,7 @@ type tree = {
   chosen : Graphlib.Flatarr.t;  (** per necklace: the earliest-reached node Y *)
 }
 
-val build : ?domains:int -> ?ws:Workspace.t -> Adjacency.t -> tree
+val build : ?ws:Workspace.t -> Adjacency.t -> tree
 (** With [?ws], [dist]/[node_parent]/[parent]/[label]/[chosen] alias
     workspace arrays (valid until its next use; in particular [dist]
     lives in the shared traversal scratch and is clobbered by any later

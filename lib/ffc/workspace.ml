@@ -58,7 +58,7 @@ let create p =
   let m = count_necklaces p in
   (* All word/byte scratch comes out of one arena: two backing
      allocations total, every region starting at a 64-byte-separated
-     offset (Flatarr.Arena), so two campaign domains — each with its own
+     offset (Flatarr.Arena), so two campaign workers — each with its own
      workspace — or two arrays of one workspace never share a cache
      line.  The backing sizes are the exact sums of the aligned carve
      sizes below, in order. *)

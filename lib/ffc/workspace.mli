@@ -9,7 +9,7 @@
     etc.  All of it lives in {e one} {!Graphlib.Flatarr.Arena}: two
     [Bigarray] backing allocations (words + flag bytes) the GC never
     scans, each region carved at a 64-byte-separated offset so no two
-    arrays — nor two domains' workspaces — share a cache line.  A
+    arrays — nor two campaign workers' workspaces — share a cache line.  A
     steady-state trial then allocates almost nothing beyond the
     returned ring (see DESIGN.md §5 and §6b for the
     ownership/reset/layout contract).
@@ -23,10 +23,8 @@
       {!Embed.t}) {e alias} workspace arrays: they are only valid until
       the workspace's next use.  The returned [cycle] is the one
       freshly-allocated result and survives;
-    - a workspace is single-threaded state — campaigns give each domain
-      its own.  The parallel BFS levels of a [?ws] + [?domains] run
-      only ever hand {e read-only} views of workspace storage to other
-      domains. *)
+    - a workspace is single-threaded state — campaigns give each
+      trial worker its own. *)
 
 type t = {
   p : Debruijn.Word.params;

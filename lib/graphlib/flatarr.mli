@@ -67,7 +67,7 @@ end
 
     Every carve starts at a 64-byte-separated offset, so two carved
     regions never share a cache line {e relative to the backing} —
-    domains writing disjoint carves cannot false-share.  Carving is
+    concurrent writers of disjoint carves cannot false-share.  Carving is
     append-only and permanent (an arena is sized exactly once, by
     [Ffc.Workspace.create]); carving past the backing raises. *)
 module Arena : sig

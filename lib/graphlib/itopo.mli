@@ -9,16 +9,7 @@
     off-heap: distances and discovery order in {!Flatarr.t}s (the BFS
     queue {e is} the discovery-order array — every node is pushed at
     most once, so no ring buffer is needed), visited marks in
-    {!Bitset}.
-
-    [?domains:k] expands large BFS levels through a chunked
-    work-stealing pool ({!Sched}): the level is cut into
-    {!chunk_size}-position chunks, gathered concurrently (workers read
-    the visited marks read-only, stashing candidates per chunk), then
-    committed sequentially in ascending chunk order — the exact
-    candidate-consideration sequence of the sequential loop, so results
-    are bit-identical to [domains = 1] for {e every} domain count,
-    chunk size and steal schedule (DESIGN.md §6b). *)
+    {!Bitset}.  Every traversal runs on the calling domain. *)
 
 type iter = int -> (int -> unit) -> unit
 (** [iter v f] calls [f] on each neighbor of [v], in a deterministic
@@ -31,20 +22,6 @@ val no_preds : iter
     induced subgraph is strongly connected (true for B\u{2217}, whose removed
     set is a union of necklaces), passing [no_preds] makes the sweep
     walk [succs] alone — half the edge work and no wrapper closure. *)
-
-val chunk_size : int
-(** Frontier positions per work-stealing chunk (512).  The default
-    granule of parallel level expansion: big enough that an atomic
-    claim amortizes to noise, small enough that a level of a few
-    thousand nodes still load-balances. *)
-
-val par_threshold : int
-(** [4 * chunk_size].  Levels narrower than this run sequentially even
-    when [domains > 1]: with fewer than four chunks there is nothing to
-    steal and the round barrier dominates.  Overriding [?chunk] moves
-    the cutoff in lockstep ([4 * chunk]) — so [~chunk:1] exercises the
-    full parallel machinery on graphs only a few nodes wide, which is
-    how the qcheck determinism suites reach it. *)
 
 type bfs = {
   dist : Flatarr.t;  (** distance from the source; [-1] if unreached *)
@@ -75,8 +52,6 @@ val ws_arena_words : int -> int
 (** Arena words consumed by [ws_create ~arena n]. *)
 
 val bfs :
-  ?domains:int ->
-  ?chunk:int ->
   ?ws:ws ->
   n:int ->
   succs:iter ->
@@ -86,13 +61,9 @@ val bfs :
 (** [bfs ~n ~succs src] — BFS from [src] over node ids [0 .. n−1].
     [?keep] restricts to an induced subgraph; a source failing [keep]
     reaches nothing ([count = 0]).  With [?ws] the result's [dist] and
-    [order] point into the workspace (valid until its next use).
-    [?chunk] (default {!chunk_size}) overrides the work-stealing
-    granule — results are bit-identical for every value ≥ 1. *)
+    [order] point into the workspace (valid until its next use). *)
 
 val bfs_dist :
-  ?domains:int ->
-  ?chunk:int ->
   n:int ->
   succs:iter ->
   ?keep:(int -> bool) ->
@@ -101,8 +72,6 @@ val bfs_dist :
 (** The distance array of {!bfs}, copied to the heap. *)
 
 val eccentricity :
-  ?domains:int ->
-  ?chunk:int ->
   ?ws:ws ->
   n:int ->
   succs:iter ->
@@ -120,8 +89,6 @@ val component_members :
     is cheap.  Empty if the node fails [keep]. *)
 
 val largest_weak_component :
-  ?domains:int ->
-  ?chunk:int ->
   n:int ->
   succs:iter ->
   preds:iter ->
@@ -135,8 +102,6 @@ val largest_weak_component :
     [keep]. *)
 
 val largest_weak_component_span :
-  ?domains:int ->
-  ?chunk:int ->
   ws:ws ->
   n:int ->
   succs:iter ->
@@ -156,8 +121,6 @@ val weak_labels :
     ([-1] for nodes failing [keep]). *)
 
 val is_strongly_connected :
-  ?domains:int ->
-  ?chunk:int ->
   n:int ->
   succs:iter ->
   preds:iter ->

@@ -97,11 +97,6 @@ let vec_sort v =
 
 (* ------------------------------------------------------------------ *)
 
-(* Below this many active nodes a round is stepped sequentially even
-   when [domains > 1]: spawning is ~20–50 µs per domain and would
-   dominate small rounds. *)
-let par_threshold = 1024
-
 let now_ns () =
   (Unix.gettimeofday () [@lint.allow "R1 per-round wall-clock trace metrics: reported, never branched on"]) *. 1e9
 
@@ -110,11 +105,9 @@ let now_ns () =
    is strictly opt-in. *)
 let zero_payload _ = 0
 
-let run ?max_rounds ?(domains = 1) ?(payload_words = zero_payload) ~topology
-    ~faulty proto =
+let run ?max_rounds ?(payload_words = zero_payload) ~topology ~faulty proto =
   let n = Graphlib.Digraph.n_nodes topology in
   let max_rounds = Option.value max_rounds ~default:((4 * n) + 64) in
-  let domains = max 1 domains in
   let live v = not (faulty v) in
   let states = Array.init n proto.initial in
   let cur = ref (Array.init n (fun _ -> mb_create ())) in
@@ -181,41 +174,10 @@ let run ?max_rounds ?(domains = 1) ?(payload_words = zero_payload) ~topology
           vec_push !nextw v
         end
       in
-      if domains > 1 && k >= par_threshold then begin
-        (* Parallel stepping: [step] is a function of the round number
-           and the node's own (state, inbox), all frozen at round
-           start, so stepping distinct nodes commutes.  Sends are
-           merged sequentially afterwards, in worklist order, to keep
-           the execution bit-identical to the sequential mode. *)
-        let results = Array.make k (Error Exit) in
-        let chunk = (k + domains - 1) / domains in
-        let worker lo hi =
-          for i = lo to hi - 1 do
-            let v = wa.(i) in
-            results.(i) <-
-              (try Ok (proto.step ~round:r v states.(v) (mb_to_list cur_boxes.(v)))
-               with e -> Error e)
-          done
-        in
-        let spawned =
-          List.init (domains - 1) (fun j ->
-              let lo = (j + 1) * chunk in
-              let hi = min k (lo + chunk) in
-              Domain.spawn (fun () -> if lo < hi then worker lo hi))
-        in
-        worker 0 (min k chunk);
-        List.iter Domain.join spawned;
-        for i = 0 to k - 1 do
-          match results.(i) with
-          | Ok res -> apply wa.(i) res
-          | Error e -> raise e
-        done
-      end
-      else
-        for i = 0 to k - 1 do
-          let v = wa.(i) in
-          apply v (proto.step ~round:r v states.(v) (mb_to_list cur_boxes.(v)))
-        done;
+      for i = 0 to k - 1 do
+        let v = wa.(i) in
+        apply v (proto.step ~round:r v states.(v) (mb_to_list cur_boxes.(v)))
+      done;
       delivered := !delivered + !round_delivered;
       max_inflight := max !max_inflight !round_delivered;
       payload_total := !payload_total + !round_payload;

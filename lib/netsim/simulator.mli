@@ -89,7 +89,6 @@ exception Did_not_converge of int
 
 val run :
   ?max_rounds:int ->
-  ?domains:int ->
   ?payload_words:('m -> int) ->
   topology:Graphlib.Digraph.t ->
   faulty:(int -> bool) ->
@@ -101,17 +100,10 @@ val run :
     dead neighbor from a silent one, exactly as in the thesis's fault
     model.
 
-    [domains] (default 1) enables parallel stepping on OCaml 5
-    domains: rounds with at least ~1000 active nodes are split across
-    [domains] domains, stepped concurrently, and their sends merged
-    deterministically in node order — the result is bit-identical to
-    the sequential mode.  Requires [step] to be safe to run
-    concurrently for {e distinct} nodes (pure, or mutating only the
-    stepped node's own state), which holds for every protocol in this
-    repository.  Rounds below the threshold run sequentially, so small
-    protocols pay no spawn overhead.
+    Each round steps its active nodes in ascending node order and
+    delivers their sends in that order, so every inbox is sorted by
+    source.
 
     [payload_words] sizes a message's payload in words for the traffic
     accounting ([round_metrics.payload_words] / [payload_total]); it is
-    called once per message accepted for delivery, from the
-    coordinating domain.  Defaults to [fun _ -> 0]. *)
+    called once per message accepted for delivery.  Defaults to [fun _ -> 0]. *)

@@ -8,14 +8,15 @@ Measurements fall into tolerance classes:
 
 - exact: deterministic counters (rounds, delivered, ring lengths, node
   and cycle counts, campaign success splits, verification booleans) —
-  these are seeded and domain-invariant, so any drift is a real
+  these are seeded and worker-count-invariant, so any drift is a real
   behaviour change;
 - ratio: machine-dependent figures (wall_s, speedups, live heap) —
   allowed to move within a generous factor;
 - percent: everything else numeric, +/-25% by default.
 
-Rows whose engine mentions "domains" are skipped outright (the domain
-count is machine-dependent).  A baseline row with no counterpart in the
+Rows whose engine mentions "domains" (the multi-domain FFC campaign
+rows) are skipped outright: their worker count is clamped to the
+machine's cores.  A baseline row with no counterpart in the
 fresh run fails the gate (coverage loss); extra fresh rows only warn.
 
 Collective rows are additionally cross-checked within the fresh run:
@@ -42,7 +43,7 @@ EXACT = {
     "rounds", "delivered", "ring_length", "nodes", "psi",
     "successes", "via_construction", "via_disjoint", "masked_fallbacks",
     "verified", "same_output",
-    # ffc-campaign: seeded and domain/reuse-invariant by contract
+    # ffc-campaign: seeded and worker/reuse-invariant by contract
     "trials", "embedded", "bound_applicable", "bound_ok", "min_ring_length",
     "errors",
     # live churn: same contract — event outcomes are pure functions of
@@ -71,14 +72,12 @@ RATIO = {
     "major_words_per_event": 4.0,
     # per-event latencies: wall-clock figures, same window as wall_s
     "median_event_s": 4.0,
+    "p90_event_s": 4.0,
+    "p99_event_s": 4.0,
     "max_event_s": 4.0,
     # peak resident set: dominated by the off-heap arenas, but the OS
     # high-water mark also counts transient heap, so windowed
     "max_rss_kb": 4.0,
-    # derived multicore speedups: rows carry "domains" in the engine so
-    # they are skipped anyway; listed here to keep the field out of row
-    # identity if that ever changes
-    "speedup_vs_x1": 8.0,
     # collective throughput: wire_words is exact but the divisor is
     # wall-clock, so same window as wall_s
     "bytes_per_s": 4.0,

@@ -104,12 +104,12 @@ let test_simulate_oracle () =
 let hamiltonian_ring ~d ~n =
   Str.to_nodes (List.hd (Co.disjoint_streams_upto ~d ~n ~k:1))
 
-let run_ring ?domains ?(bidirectional = false) ?rings ~d ~n ~ranks ~chunk_words op =
+let run_ring ?(bidirectional = false) ?rings ~d ~n ~ranks ~chunk_words op =
   let p = W.params ~d ~n in
   let rings =
     match rings with Some r -> r | None -> [ hamiltonian_ring ~d ~n ]
   in
-  E.run ?domains ~p
+  E.run ~p
     ~faulty:(fun _ -> false)
     ~rings
     { E.op; ranks; chunk_words; bidirectional }
@@ -149,16 +149,6 @@ let test_exec_striped_and_bidir () =
   in
   check_bool "bidirectional verified" true rb.E.verified;
   check_int "both directions" (2 * k) rb.E.rings
-
-let test_exec_domains_bit_identical () =
-  let d = 4 and n = 3 in
-  let rings = List.map Str.to_nodes (Co.disjoint_streams_upto ~d ~n ~k:3) in
-  let a = run_ring ~rings ~d ~n ~ranks:8 ~chunk_words:2 S.Allreduce in
-  let b = run_ring ~domains:2 ~rings ~d ~n ~ranks:8 ~chunk_words:2 S.Allreduce in
-  check_bool "domains=2 verified" true b.E.verified;
-  check_int "same rounds" a.E.rounds b.E.rounds;
-  check_int "same delivered" a.E.delivered b.E.delivered;
-  check_int "same checksum" a.E.checksum b.E.checksum
 
 let test_exec_validation () =
   let d = 2 and n = 4 in
@@ -384,16 +374,6 @@ let qsuite =
                 }
             in
             r.E.verified);
-    Test.make ~name:"domains stepping is bit-identical" ~count:10
-      (pair (int_range 2 4) (int_range 1 2))
-      (fun (domains, cw) ->
-        let d = 2 and n = 5 in
-        let a = run_ring ~d ~n ~ranks:6 ~chunk_words:cw S.Allreduce in
-        let b = run_ring ~domains ~d ~n ~ranks:6 ~chunk_words:cw S.Allreduce in
-        a.E.checksum = b.E.checksum
-        && a.E.rounds = b.E.rounds
-        && a.E.delivered = b.E.delivered
-        && b.E.verified);
     (* The tentpole pin: identical report counters and word-identical
        payload arenas across ops x ranks x chunk_words x bidirectional
        x node-fault draws (FFC rings, relay-lengthened segments). *)
@@ -451,25 +431,6 @@ let qsuite =
                 ~faulty:(fun _ -> false) ~rings spec
             in
             same_report re rf && same_payload pe pf);
-    (* The deterministic-commit contract: any ?domains splits commit
-       bit-identical arenas. *)
-    Test.make ~name:"fastpath ?domains 1/2/4 bit-identity" ~count:10
-      (pair (int_range 0 2) (int_range 1 2))
-      (fun (opi, cw) ->
-        let op = List.nth [ S.Reduce_scatter; S.All_gather; S.Allreduce ] opi in
-        let d = 4 and n = 2 in
-        let rings = List.map Str.to_nodes (Co.disjoint_streams_upto ~d ~n ~k:3) in
-        let p = W.params ~d ~n in
-        let spec = { E.op; ranks = 8; chunk_words = cw; bidirectional = true } in
-        let run domains =
-          F.run_with_payload ~domains ~p ~faulty:(fun _ -> false) ~rings spec
-        in
-        let r1, p1 = run 1 in
-        let r2, p2 = run 2 in
-        let r4, p4 = run 4 in
-        r1.E.verified
-        && same_report r1 r2 && same_report r1 r4
-        && same_payload p1 p2 && same_payload p1 p4);
   ]
 
 let () =
@@ -488,8 +449,6 @@ let () =
             test_exec_verifies;
           Alcotest.test_case "striping and bidirectional" `Quick
             test_exec_striped_and_bidir;
-          Alcotest.test_case "domains bit-identity" `Quick
-            test_exec_domains_bit_identical;
           Alcotest.test_case "validation" `Quick test_exec_validation;
         ] );
       ( "fastpath",

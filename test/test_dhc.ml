@@ -673,16 +673,6 @@ let test_campaign_guarantee () =
         pts)
     [ 3; 4; 5; 6; 8; 9; 10 ]
 
-let test_campaign_deterministic_across_domains () =
-  let strip (pt : Ca.point) =
-    ( pt.Ca.f, pt.Ca.successes, pt.Ca.via_construction, pt.Ca.via_disjoint,
-      pt.Ca.masked_fallbacks, pt.Ca.mean_ring_length )
-  in
-  let a = Ca.run ~trials:6 ~fmax:4 ~d:6 ~n:2 () in
-  let b = Ca.run ~domains:3 ~trials:6 ~fmax:4 ~d:6 ~n:2 () in
-  check_bool "domains don't change statistics" true
-    (List.map strip a = List.map strip b)
-
 (* ------------------------------------------------------------------ *)
 (* MB(d,n): Hamiltonian decompositions *)
 
@@ -868,8 +858,6 @@ let () =
       ( "campaign",
         [
           Alcotest.test_case "guaranteed regime" `Quick test_campaign_guarantee;
-          Alcotest.test_case "domains-invariant statistics" `Quick
-            test_campaign_deterministic_across_domains;
         ] );
       ( "mdb",
         [

@@ -632,7 +632,7 @@ let test_distributed_b217 () =
       | None -> Alcotest.fail "B(2,17) f=1: no live necklace"
       | Some b ->
           let emb = E.of_bstar b in
-          let dist = Dist.run ~domains:2 b in
+          let dist = Dist.run b in
           Alcotest.(check bool)
             "successor maps identical" true
             (dist.Dist.successor = Fa.to_array emb.E.successor);
@@ -653,32 +653,20 @@ let test_implicit_b220 () =
           check_bool "verify" true (E.verify e);
           check_int "cycle covers B*" e.E.bstar.B.size (E.length e))
 
-(* B(2,27) (134M nodes, one fault) — the multicore acceptance instance
-   from the work-stealing PR.  The off-heap arena keeps the OCaml heap
-   flat (~zero minor words per node); wall-clock is dominated by the
-   parallel BFS.  Nightly big-instances job only. *)
+(* B(2,27) (134M nodes, one fault), embedded on one domain.  The
+   off-heap arena keeps the OCaml heap flat (~zero minor words per
+   node).  Nightly big-instances job only. *)
 let test_embed_b227 () =
   match Sys.getenv_opt "NETSIM_BIG" with
   | None | Some "" | Some "0" -> ()
   | Some _ -> (
       let p = W.params ~d:2 ~n:27 in
-      match E.embed ~domains:4 p ~faults:[ 1 ] with
+      match E.embed p ~faults:[ 1 ] with
       | None -> Alcotest.fail "B(2,27) f=1: no live necklace"
       | Some e ->
           check_bool "verify" true (E.verify e);
           check_int "cycle covers B*" e.E.bstar.B.size (E.length e);
           check_bool "Prop 2.3 bound" true (E.length e >= p.W.size - 28))
-
-(* ?domains:2 must be bit-identical to the sequential run; B(2,13) is
-   the smallest binary instance whose middle BFS levels exceed
-   Itopo.par_threshold, so the parallel expansion genuinely fires. *)
-let test_embed_domains_identical () =
-  let p = W.params ~d:2 ~n:13 in
-  let faults = [ 1 ] in
-  let seq = Option.get (E.embed p ~faults) in
-  let par = Option.get (E.embed ~domains:2 p ~faults) in
-  check_bool "successor maps identical" true (seq.E.successor = par.E.successor);
-  check_bool "cycles identical" true (seq.E.cycle = par.E.cycle)
 
 (* ------------------------------------------------------------------ *)
 (* workspace arena *)
@@ -686,8 +674,8 @@ let test_embed_domains_identical () =
 (* Compare a workspace run against the fresh-allocation pipeline on
    every observable: the ws embed's fields alias arena storage, so all
    comparisons happen before the workspace's next use. *)
-let check_ws_matches_fresh ?domains p ws faults =
-  match (E.embed ?domains p ~faults, E.embed ?domains ~ws p ~faults) with
+let check_ws_matches_fresh p ws faults =
+  match (E.embed p ~faults, E.embed ~ws p ~faults) with
   | None, None -> ()
   | Some fresh, Some wse ->
       check_int "root" fresh.E.bstar.B.root wse.E.bstar.B.root;
@@ -721,14 +709,6 @@ let test_ws_wrong_params () =
   Alcotest.check_raises "d/n mismatch"
     (Invalid_argument "Ffc.Workspace: workspace built for a different (d, n)")
     (fun () -> ignore (E.embed ~ws (W.params ~d:2 ~n:6) ~faults:[]))
-
-let test_ws_domains_identical () =
-  (* B(2,13): big enough that Itopo's parallel BFS expansion fires, so
-     the arena and the domain path are exercised together. *)
-  let p = W.params ~d:2 ~n:13 in
-  let ws = Ffc.Workspace.create p in
-  check_ws_matches_fresh ~domains:2 p ws [ 1; 500; 8000 ];
-  check_ws_matches_fresh ~domains:2 p ws [ 2; 3 ]
 
 (* ------------------------------------------------------------------ *)
 (* ring walk and verify *)
@@ -835,7 +815,7 @@ let strip_measurements (pt : Ffc.Campaign.point) =
 
 let test_campaign_identity () =
   (* The bit-identity contract: statistics depend only on (seed, f,
-     trial) — not on domain count, and not on whether trials reuse the
+     trial) — not on worker count, and not on whether trials reuse the
      arena or allocate fresh. *)
   let run ?domains ?reuse () =
     List.map strip_measurements
@@ -846,6 +826,16 @@ let test_campaign_identity () =
   check_bool "domains:2 identical" true (run ~domains:2 () = seq);
   check_bool "domains:4 identical" true (run ~domains:4 () = seq);
   check_bool "reuse:false identical" true (run ~reuse:false () = seq)
+
+(* More domains than trials or cores never means more workers; the
+   count is pure arithmetic, so a huge request starts no domain here. *)
+let test_campaign_workers () =
+  let cores = Domain.recommended_domain_count () in
+  check_int "one domain" 1 (Ffc.Campaign.workers ~domains:1 ~trials:200);
+  check_int "clamped to cores" (min 200 cores)
+    (Ffc.Campaign.workers ~domains:max_int ~trials:200);
+  check_int "clamped to trials" 1 (Ffc.Campaign.workers ~domains:max_int ~trials:1);
+  check_int "below one" 1 (Ffc.Campaign.workers ~domains:0 ~trials:5)
 
 let test_campaign_bounds () =
   (* In the guaranteed regimes every trial must meet the bound, and the
@@ -1099,18 +1089,15 @@ let () =
           Alcotest.test_case "best case (short necklace)" `Quick test_pancyclic_best_case;
           Alcotest.test_case "Lemma 2.1 arc structure" `Quick test_lemma_2_1_arc_structure;
           Alcotest.test_case "Table 2.2 regression slice" `Quick test_table_2_2_regression;
-          Alcotest.test_case "domains:2 bit-identical" `Quick test_embed_domains_identical;
           Alcotest.test_case "B(2,20) implicit acceptance (NETSIM_BIG=1)" `Slow
             test_implicit_b220;
-          Alcotest.test_case "B(2,27) multicore acceptance (NETSIM_BIG=1)" `Slow
+          Alcotest.test_case "B(2,27) acceptance (NETSIM_BIG=1)" `Slow
             test_embed_b227;
         ] );
       ( "workspace",
         [
           Alcotest.test_case "back-to-back reuse" `Quick test_ws_back_to_back;
           Alcotest.test_case "wrong params rejected" `Quick test_ws_wrong_params;
-          Alcotest.test_case "ws + domains:2 bit-identical" `Quick
-            test_ws_domains_identical;
         ] );
       ( "ring walk",
         [
@@ -1123,6 +1110,7 @@ let () =
         [
           Alcotest.test_case "bit-identical across domains/reuse" `Quick
             test_campaign_identity;
+          Alcotest.test_case "worker count clamp" `Quick test_campaign_workers;
           Alcotest.test_case "Prop 2.2 bounds hold" `Quick test_campaign_bounds;
           Alcotest.test_case "Prop 2.3 d=2 f=1" `Quick test_campaign_binary_single_fault;
         ] );

@@ -261,7 +261,6 @@ let test_csr_parallel_and_loops () =
 
 module It = Graphlib.Itopo
 module Fa = Graphlib.Flatarr
-module Sched = Graphlib.Sched
 
 let isuccs g v f = List.iter f (D.succs g v)
 let ipreds g v f = List.iter f (D.preds g v)
@@ -320,30 +319,6 @@ let test_itopo_no_preds () =
        ~keep:(fun v -> v < 3) ());
   check_bool "not strongly connected" false
     (It.is_strongly_connected ~n:6 ~succs:(isuccs g) ~preds:(ipreds g) ())
-
-let test_itopo_parallel_levels () =
-  (* A graph wide enough to push levels past par_threshold so the
-     domains > 1 path genuinely runs expand_par: star from 0 into
-     10000 nodes, each fanning further via arithmetic jumps. *)
-  let n = 30000 in
-  let succs v f =
-    if v = 0 then
-      for i = 1 to 10000 do
-        f i
-      done
-    else begin
-      f (((v * 7) + 11) mod n);
-      f (((v * 13) + 5) mod n)
-    end
-  in
-  let seq = It.bfs ~n ~succs 0 in
-  let par = It.bfs ~domains:4 ~n ~succs 0 in
-  check_int "same count" seq.It.count par.It.count;
-  Alcotest.(check (array int)) "same dist" (Fa.to_array seq.It.dist)
-    (Fa.to_array par.It.dist);
-  Alcotest.(check (array int)) "same order"
-    (Fa.sub_to_array seq.It.order 0 seq.It.count)
-    (Fa.sub_to_array par.It.order 0 par.It.count)
 
 (* ------------------------------------------------------------------ *)
 (* connectivity *)
@@ -519,47 +494,6 @@ let qsuite_compact =
         = T.is_strongly_connected g (fun _ -> true)
         && It.is_strongly_connected ~n ~succs:(isuccs g) ~preds:(ipreds g) ~keep ()
            = T.is_strongly_connected g keep);
-    Test.make ~name:"Itopo.bfs ~domains:4 is bit-identical" ~count:100 arb_graph
-      (fun (n, es) ->
-        let g = D.of_edges n es in
-        let seq = It.bfs ~n ~succs:(isuccs g) 0 in
-        let par = It.bfs ~domains:4 ~n ~succs:(isuccs g) 0 in
-        seq.It.dist = par.It.dist
-        && seq.It.count = par.It.count
-        && Fa.sub_to_array seq.It.order 0 seq.It.count
-           = Fa.sub_to_array par.It.order 0 par.It.count);
-    (* Adversarial chunk sizes: chunk = 1 drops the activation cutoff to
-       4 frontier nodes, so tiny random graphs genuinely exercise the
-       work-stealing expansion; chunk > n degenerates every level to a
-       single chunk.  Results must be bit-identical across all of them
-       and to the sequential run. *)
-    Test.make ~name:"Itopo.bfs work-stealing determinism over chunk sizes"
-      ~count:100 arb_graph (fun (n, es) ->
-        let g = D.of_edges n es in
-        let seq = It.bfs ~n ~succs:(isuccs g) 0 in
-        List.for_all
-          (fun chunk ->
-            List.for_all
-              (fun domains ->
-                let par = It.bfs ~domains ~chunk ~n ~succs:(isuccs g) 0 in
-                seq.It.dist = par.It.dist
-                && seq.It.count = par.It.count
-                && Fa.sub_to_array seq.It.order 0 seq.It.count
-                   = Fa.sub_to_array par.It.order 0 par.It.count)
-              [ 2; 4 ])
-          [ 1; 3; n + 7 ]);
-    Test.make
-      ~name:"Itopo.largest_weak_component chunk=1 parallel sweep identical"
-      ~count:100 arb_graph (fun (n, es) ->
-        let g = D.of_edges n es in
-        let seq =
-          It.largest_weak_component ~n ~succs:(isuccs g) ~preds:(ipreds g) ()
-        in
-        let par =
-          It.largest_weak_component ~domains:4 ~chunk:1 ~n ~succs:(isuccs g)
-            ~preds:(ipreds g) ()
-        in
-        seq = par);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -631,86 +565,6 @@ let test_itopo_ws_arena () =
   Alcotest.(check (array int)) "same dist" (Fa.to_array fresh.It.dist)
     (Fa.to_array arened.It.dist)
 
-(* ------------------------------------------------------------------ *)
-(* sched: the work-stealing pool *)
-
-let test_sched_parallel_for () =
-  (* Every index executed exactly once, whatever the chunking. *)
-  List.iter
-    (fun domains ->
-      Sched.with_pool ~domains (fun pool ->
-          check_int "size" domains (Sched.size pool);
-          List.iter
-            (fun chunk ->
-              let n = 1000 in
-              let hits = Array.make n 0 in
-              (* Disjoint writes per index: safe across domains. *)
-              Sched.parallel_for pool ~chunk ~lo:0 ~hi:n (fun _ cl ch ->
-                  for i = cl to ch - 1 do
-                    hits.(i) <- hits.(i) + 1
-                  done);
-              check_bool
-                (Printf.sprintf "all-once domains=%d chunk=%d" domains chunk)
-                true
-                (Array.for_all (fun c -> c = 1) hits))
-            [ 1; 7; 64; 1000; 5000 ]))
-    [ 1; 2; 4 ]
-
-let test_sched_chunk_ranges () =
-  Sched.with_pool ~domains:2 (fun pool ->
-      let seen = Array.make 10 (-1) in
-      Sched.parallel_for pool ~chunk:4 ~lo:3 ~hi:13 (fun c cl ch ->
-          for i = cl to ch - 1 do
-            seen.(i - 3) <- c
-          done);
-      (* chunk c covers [3 + 4c, min(13, 3 + 4c + 4)) *)
-      Alcotest.(check (array int)) "chunk ordinals"
-        [| 0; 0; 0; 0; 1; 1; 1; 1; 2; 2 |]
-        seen)
-
-let test_sched_exceptions () =
-  Sched.with_pool ~domains:4 (fun pool ->
-      Alcotest.check_raises "worker exception propagates" Exit (fun () ->
-          Sched.run pool (fun w -> if w = 3 then raise Exit));
-      (* ... and the pool survives for the next job *)
-      let total = Atomic.make 0 in
-      Sched.run pool (fun _ -> ignore (Atomic.fetch_and_add total 1));
-      check_int "pool usable after failure" 4 (Atomic.get total));
-  Alcotest.check_raises "domains must be positive"
-    (Invalid_argument "Sched.create: domains must be >= 1") (fun () ->
-      ignore (Sched.create ~domains:0))
-
-(* The parallel-activation contract (ISSUE 7 satellite): the cutoff is
-   a named constant derived from the chunk size, and crossing it must
-   not change results — pinned with a star graph whose single level
-   sits exactly at / just below the threshold. *)
-let test_itopo_par_threshold () =
-  check_int "par_threshold derived from chunk size" (4 * It.chunk_size)
-    It.par_threshold;
-  let star width =
-    let n = width + 1 in
-    let succs v f =
-      if v = 0 then
-        for i = 1 to width do
-          f i
-        done
-    in
-    (n, succs)
-  in
-  List.iter
-    (fun width ->
-      let n, succs = star width in
-      let seq = It.bfs ~n ~succs 0 in
-      let par = It.bfs ~domains:4 ~n ~succs 0 in
-      check_int
-        (Printf.sprintf "count at width %d" width)
-        seq.It.count par.It.count;
-      check_bool
-        (Printf.sprintf "dist identical at width %d" width)
-        true
-        (seq.It.dist = par.It.dist))
-    [ It.par_threshold - 1; It.par_threshold; It.par_threshold + 1 ]
-
 let () =
   Alcotest.run "graphlib"
     [
@@ -773,20 +627,12 @@ let () =
           Alcotest.test_case "component members order" `Quick test_itopo_component_members;
           Alcotest.test_case "largest weak component" `Quick test_itopo_largest_weak;
           Alcotest.test_case "no_preds sweep" `Quick test_itopo_no_preds;
-          Alcotest.test_case "parallel levels bit-identical" `Quick test_itopo_parallel_levels;
           Alcotest.test_case "arena workspace" `Quick test_itopo_ws_arena;
-          Alcotest.test_case "par_threshold boundary" `Quick test_itopo_par_threshold;
         ] );
       ( "flatarr",
         [
           Alcotest.test_case "basics" `Quick test_flatarr_basics;
           Alcotest.test_case "arena carving" `Quick test_flatarr_arena;
-        ] );
-      ( "sched",
-        [
-          Alcotest.test_case "parallel_for covers once" `Quick test_sched_parallel_for;
-          Alcotest.test_case "chunk ranges" `Quick test_sched_chunk_ranges;
-          Alcotest.test_case "exceptions" `Quick test_sched_exceptions;
         ] );
       ("properties", List.map (fun t -> QCheck_alcotest.to_alcotest ~long:false t) qsuite);
       ( "compact vs reference",

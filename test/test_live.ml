@@ -5,7 +5,7 @@
    membership, root, |B*|, ecc, BFS distances, the successor map and the
    materialized ring — must be bit-identical to a full Embed.embed
    recompute on the current fault set, with and without a shared
-   workspace and across ?domains. *)
+   workspace. *)
 
 module W = Debruijn.Word
 module B = Ffc.Bstar
@@ -41,9 +41,9 @@ let oracle_agrees ?(materialize = true) (live : Lv.t) p faults =
 (* One churn sequence: a birth-death chain around [target] outstanding
    faults, oracle-checked after every event.  Returns false on the
    first divergence (or rejected event). *)
-let churn_agrees ?ws ?domains p ~seed ~events ~target =
+let churn_agrees ?ws p ~seed ~events ~target =
   let rng = Util.Rng.create seed in
-  let live = Lv.create ~root_hint:1 ?ws ?domains p ~faults:[] in
+  let live = Lv.create ~root_hint:1 ?ws p ~faults:[] in
   let active = ref [] in
   let nf = ref 0 in
   let ok = ref true in
@@ -298,10 +298,6 @@ let qsuite =
                ws
          in
          churn_agrees ~ws p ~seed ~events ~target));
-    Test.make ~name:"live churn at domains:2 = sequential" ~count:30
-      (make scenario) (fun (d, n, target, seed) ->
-        let p = W.params ~d ~n in
-        churn_agrees ~domains:2 p ~seed ~events ~target);
   ]
 
 let () =

@@ -248,20 +248,6 @@ let test_functional_payload () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-let test_parallel_matches_sequential () =
-  (* B(2,11): 2048 nodes, above the parallel threshold, so domains are
-     actually exercised; the run must be bit-identical. *)
-  let p = Debruijn.Word.params ~d:2 ~n:11 in
-  let g = Debruijn.Graph.b p in
-  let faulty v = v mod 97 = 3 in
-  let seq = S.run ~topology:g ~faulty (flood_protocol 1 g) in
-  let par = S.run ~domains:4 ~topology:g ~faulty (flood_protocol 1 g) in
-  Alcotest.(check (array int)) "states" seq.S.states par.S.states;
-  check_int "rounds" seq.S.rounds par.S.rounds;
-  check_int "delivered" seq.S.delivered par.S.delivered;
-  check_int "max_inflight" seq.S.max_inflight par.S.max_inflight;
-  check_int "max_port_load" seq.S.max_port_load par.S.max_port_load
-
 (* ------------------------------------------------------------------ *)
 (* qcheck: the worklist engine agrees with the seed full-scan engine on
    random protocols over random B(d,n) topologies with random faults.
@@ -345,31 +331,6 @@ let qcheck_agreement =
     ~name:"worklist engine = seed full-scan engine (random gossip protocols)"
     (QCheck.make gen) agreement_prop
 
-let qcheck_parallel_agreement =
-  (* Same property, sequential vs 4 domains, on topologies big enough
-     to cross the parallel threshold. *)
-  let gen =
-    QCheck.Gen.(
-      let* pseed = int_range 1 (1 lsl 28) in
-      let* nfaults = int_range 0 40 in
-      return (2, 11, pseed, nfaults))
-  in
-  let prop (d, n, pseed, nfaults) =
-    let p = Debruijn.Word.params ~d ~n in
-    let g = Debruijn.Graph.b p in
-    let faults =
-      List.init nfaults (fun i -> mix pseed i 1 2 mod p.Debruijn.Word.size)
-    in
-    let faulty v = List.mem v faults in
-    let proto = gossip_protocol pseed g (1 + (pseed mod 6)) (pseed mod 3) in
-    let a = S.run ~max_rounds:1000 ~topology:g ~faulty proto in
-    let b = S.run ~domains:4 ~max_rounds:1000 ~topology:g ~faulty proto in
-    a.S.states = b.S.states && a.S.delivered = b.S.delivered
-    && a.S.rounds = b.S.rounds
-  in
-  QCheck.Test.make ~count:20 ~name:"parallel stepping is bit-identical"
-    (QCheck.make gen) prop
-
 let () =
   Alcotest.run "netsim"
     [
@@ -389,11 +350,9 @@ let () =
           Alcotest.test_case "inbox sorted" `Quick test_inbox_sorted_by_source;
           Alcotest.test_case "same-source send order" `Quick test_same_source_keeps_send_order;
           Alcotest.test_case "functional payloads" `Quick test_functional_payload;
-          Alcotest.test_case "parallel = sequential" `Quick test_parallel_matches_sequential;
         ] );
       ( "agreement",
         [
           QCheck_alcotest.to_alcotest qcheck_agreement;
-          QCheck_alcotest.to_alcotest qcheck_parallel_agreement;
         ] );
     ]
