@@ -8,7 +8,9 @@
    [time_gc] is the uniform measurement wrapper: wall clock plus the
    minor/major-heap words allocated by the thunk (from [Gc.counters],
    so promotion is not double-counted), letting every section report
-   allocation next to speed and the CI gate window both. *)
+   allocation next to speed and the CI gate window both.  It runs the
+   thunk once to warm up and then [repeats] more times, and reports
+   the minimum of each figure over those runs. *)
 
 let rows : string list ref = ref []
 let jstr s = Printf.sprintf "%S" s
@@ -70,19 +72,38 @@ let max_rss_kb () =
       close_in ic;
       kb
 
+(* One run's word counts also hold whatever the GC state at its start
+   adds to its window (a ~10^5-word burst that lands in one row or
+   another), so one run measures the heap, not the code.  The thunk's
+   own allocation is the same every run; the minimum over the measured
+   runs after a warm-up is that figure.  Wall clock takes the minimum
+   too: the steady-state cost, without first-touch page faults. *)
+let repeats = 3
+
 let time_gc f =
-  let mn0, _, mj0 = Gc.counters () in
-  let t0 = Unix.gettimeofday () in
-  let x = f () in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let mn1, _, mj1 = Gc.counters () in
-  ( x,
-    {
-      wall_s;
-      minor_words = mn1 -. mn0;
-      major_words = mj1 -. mj0;
-      max_rss_kb = max_rss_kb ();
-    } )
+  ignore (Sys.opaque_identity (f ()));
+  let once () =
+    let mn0, _, mj0 = Gc.counters () in
+    let t0 = Unix.gettimeofday () in
+    let x = f () in
+    let wall_s = Unix.gettimeofday () -. t0 in
+    let mn1, _, mj1 = Gc.counters () in
+    (x, { wall_s; minor_words = mn1 -. mn0; major_words = mj1 -. mj0; max_rss_kb = 0 })
+  in
+  let rec go k (x, g) =
+    if k = 0 then (x, { g with max_rss_kb = max_rss_kb () })
+    else
+      let _, g' = once () in
+      go (k - 1)
+        ( x,
+          {
+            g with
+            wall_s = Float.min g.wall_s g'.wall_s;
+            minor_words = Float.min g.minor_words g'.minor_words;
+            major_words = Float.min g.major_words g'.major_words;
+          } )
+  in
+  go (repeats - 1) (once ())
 
 let gc_fields g =
   [

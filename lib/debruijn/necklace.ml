@@ -1,11 +1,4 @@
-let canonical p x =
-  let rec go best cur i =
-    if i = 0 then best
-    else
-      let cur = Word.rotl p cur in
-      go (min best cur) cur (i - 1)
-  in
-  go x x (p.Word.n - 1)
+let canonical = Word.least_rotation
 
 let length p x = Word.period p x
 

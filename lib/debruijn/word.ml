@@ -1,4 +1,6 @@
-type params = { d : int; n : int; size : int }
+type params = { d : int; n : int; size : int; stride : int; shift : int; top : int }
+
+let rec log2 x = if x <= 1 then 0 else 1 + log2 (x lsr 1)
 
 let params ~d ~n =
   if d < 2 then invalid_arg "Word.params: d < 2";
@@ -9,7 +11,12 @@ let params ~d ~n =
     else if acc > max_int / d then invalid_arg "Word.params: d^n too large"
     else pow (acc * d) (i - 1)
   in
-  { d; n; size = pow 1 n }
+  let size = pow 1 n in
+  let stride = size / d in
+  (* log₂ d when d is a power of two, −1 otherwise: selects the
+     shift/mask form of [rotl]. *)
+  let shift = if d land (d - 1) = 0 then log2 d else -1 in
+  { d; n; size; stride; shift; top = (if shift >= 0 then log2 stride else -1) }
 
 let check p x =
   if x < 0 || x >= p.size then invalid_arg "Word: code out of range"
@@ -39,22 +46,44 @@ let digit p x i =
   if i < 1 || i > p.n then invalid_arg "Word.digit: index out of range";
   x / Numtheory.pow p.d (p.n - i) mod p.d
 
-let first_digit p x = check p x; x / (p.size / p.d)
+let first_digit p x = check p x; x / p.stride
 let last_digit p x = check p x; x mod p.d
 let prefix p x = check p x; x / p.d
-let suffix p x = check p x; x mod (p.size / p.d)
+let suffix p x = check p x; x mod p.stride
 
 let cons p a w =
   if a < 0 || a >= p.d then invalid_arg "Word.cons: digit out of range";
-  if w < 0 || w >= p.size / p.d then invalid_arg "Word.cons: word out of range";
-  (a * (p.size / p.d)) + w
+  if w < 0 || w >= p.stride then invalid_arg "Word.cons: word out of range";
+  (a * p.stride) + w
 
 let snoc p w a =
   if a < 0 || a >= p.d then invalid_arg "Word.snoc: digit out of range";
-  if w < 0 || w >= p.size / p.d then invalid_arg "Word.snoc: word out of range";
+  if w < 0 || w >= p.stride then invalid_arg "Word.snoc: word out of range";
   (w * p.d) + a
 
-let rotl p x = check p x; (x mod (p.size / p.d) * p.d) + (x / (p.size / p.d))
+(* αw ↦ wα: two shifts, a mask and an or when d is a power of two,
+   one division otherwise. *)
+let[@inline] rot p x =
+  if p.shift >= 0 then ((x land (p.stride - 1)) lsl p.shift) lor (x lsr p.top)
+  else
+    let a = x / p.stride in
+    ((x - (a * p.stride)) * p.d) + a
+
+let rotl p x =
+  check p x;
+  rot p x
+
+(* Rotations of an in-range word stay in range: one check, then the
+   inlined rotation n − 1 times. *)
+let least_rotation p x =
+  check p x;
+  let rec go best cur i =
+    if i = 0 then best
+    else
+      let cur = rot p cur in
+      go (Int.min best cur) cur (i - 1)
+  in
+  go x x (p.n - 1)
 
 let rotl_by p i x =
   let i = ((i mod p.n) + p.n) mod p.n in
@@ -104,14 +133,14 @@ let predecessors p x =
    same digit order — the {!Graphlib.Itopo.iter}s that let traversals
    run on B(d,n) without materializing it. *)
 let iter_succs p x f =
-  let base = x mod (p.size / p.d) * p.d in
+  let base = x mod p.stride * p.d in
   for a = 0 to p.d - 1 do
     f (base + a)
   done
 
 let iter_preds p x f =
   let w = x / p.d in
-  let stride = p.size / p.d in
+  let stride = p.stride in
   for a = 0 to p.d - 1 do
     f ((a * stride) + w)
   done

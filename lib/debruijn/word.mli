@@ -5,7 +5,14 @@
     the integer Σ xᵢ·d^(n−i).  All functions take the parameters [d]
     (alphabet size ≥ 2) and [n] (word length ≥ 1) explicitly. *)
 
-type params = { d : int; n : int; size : int (** dⁿ *) }
+type params = {
+  d : int;
+  n : int;
+  size : int;  (** dⁿ *)
+  stride : int;  (** dⁿ⁻¹: the place value of the first digit *)
+  shift : int;  (** log₂ d when d is a power of two, −1 otherwise *)
+  top : int;  (** log₂ dⁿ⁻¹ when [shift] ≥ 0, −1 otherwise *)
+}
 
 val params : d:int -> n:int -> params
 (** @raise Invalid_argument unless d ≥ 2, n ≥ 1 and dⁿ fits an int. *)
@@ -38,7 +45,14 @@ val snoc : params -> int -> int -> int
 (** [snoc p w a] is the n-digit word w·a for an (n−1)-digit [w]. *)
 
 val rotl : params -> int -> int
-(** Left rotation π¹: x₁x₂…xₙ ↦ x₂…xₙx₁. *)
+(** Left rotation π¹: x₁x₂…xₙ ↦ x₂…xₙx₁ — a shift and a mask when d is
+    a power of two, one division otherwise.
+    @raise Invalid_argument outside [0, dⁿ). *)
+
+val least_rotation : params -> int -> int
+(** The least of the n rotations of x: the representative of its
+    necklace ({!Necklace.canonical}).
+    @raise Invalid_argument outside [0, dⁿ). *)
 
 val rotl_by : params -> int -> int -> int
 (** πⁱ for any integer i (negative = right rotation). *)

@@ -8,6 +8,16 @@ type t = {
   cycle : int array;
 }
 
+(* {!W.rotl} without its range check, on the shift and stride that
+   [Word.params] precomputes.  It is inlined here because a call per
+   step leaves fewer steps of the ring walk below in flight: calling
+   [W.rotl] made that walk ~30% slower at B(2,22). *)
+let[@inline] rotl ~shift ~top ~stride ~d x =
+  if shift >= 0 then ((x land (stride - 1)) lsl shift) lor (x lsr top)
+  else
+    let a = x / stride in
+    ((x - (a * stride)) * d) + a
+
 let successor_map ?ws (m : Spanning.modified) =
   let bstar = m.Spanning.tree.Spanning.adj.Adjacency.bstar in
   let p = bstar.Bstar.p in
@@ -22,35 +32,17 @@ let successor_map ?ws (m : Spanning.modified) =
         w.Workspace.successor
   in
   (* One flat pass: exit nodes of D-edges jump to the recorded entry
-     node, everyone else follows its necklace (rotate left, inlined:
-     W.rotl without the per-call range check). *)
-  let d = p.W.d in
-  let stride = p.W.size / d in
+     node, everyone else follows its necklace. *)
+  let shift = p.W.shift and top = p.W.top and stride = p.W.stride and d = p.W.d in
   for x = 0 to p.W.size - 1 do
     if in_bstar.{x} <> 0 then
       succ.{x} <-
-        (if override.{x} >= 0 then override.{x}
-         else (x mod stride * d) + (x / stride))
+        (if override.{x} >= 0 then override.{x} else rotl ~shift ~top ~stride ~d x)
   done;
   succ
 
 let[@inline never] not_closed () =
   Pipeline_error.raise_error ~stage:"Embed" "successor map did not close into a cycle"
-
-let rec log2 x = if x <= 1 then 0 else 1 + log2 (x lsr 1)
-
-(* log₂ d when d is a power of two, −1 otherwise: selects the
-   shift/mask forms of [rotl] and [is_edge]. *)
-let pow2_shift d = if d land (d - 1) = 0 then log2 d else -1
-
-(* The necklace successor αw ↦ wα.  With [shift] = [pow2_shift d] ≥ 0
-   and [top] = log₂ dⁿ⁻¹ it is two shifts, a mask and an or; other d
-   pay one division. *)
-let[@inline] rotl ~shift ~top ~stride ~d x =
-  if shift >= 0 then ((x land (stride - 1)) lsl shift) lor (x lsr top)
-  else
-    let a = x / stride in
-    ((x - (a * stride)) * d) + a
 
 (* x → y is a De Bruijn edge iff prefix y = suffix x, i.e. y = (x mod
    dⁿ⁻¹)·d + a for a digit a.  Either form also bounds y to [0, dⁿ)
@@ -81,8 +73,7 @@ let ring_of_successor (b : Bstar.t) (succ : Fa.t) =
   if Fa.length succ <> size then invalid_arg "Embed.ring_of_successor: map size <> d^n";
   let k = b.Bstar.size and root = b.Bstar.root in
   if k < 1 || root < 0 || root >= size then not_closed ();
-  let stride = size / d in
-  let shift = pow2_shift d and top = log2 stride in
+  let shift = p.W.shift and top = p.W.top and stride = p.W.stride in
   let ring = Array.make k root in
   let x = ref root in
   for i = 1 to k - 1 do
@@ -132,8 +123,7 @@ let verify ?ws t =
   let in_bstar = b.Bstar.in_bstar in
   let necklace_faulty = b.Bstar.necklace_faulty in
   let size = p.W.size and d = p.W.d in
-  let stride = size / d in
-  let shift = pow2_shift d in
+  let shift = p.W.shift and stride = p.W.stride in
   let ok = ref true and i = ref 0 in
   while !ok && !i < k do
     let x = ring.(!i) in

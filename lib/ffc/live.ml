@@ -1,5 +1,6 @@
 module W = Debruijn.Word
 module Nk = Debruijn.Necklace
+module Fa = Graphlib.Flatarr
 
 type event = Fault of int | Repair of int
 
@@ -17,6 +18,8 @@ type stats = {
   unchanged : int;
   affected_nodes : int;
   last_affected : int;
+  scanned : int;
+  last_scanned : int;
 }
 
 (* Growable int vector — per-event scratch that amortizes to zero
@@ -40,30 +43,33 @@ type t = {
   root_hint : int option;
   ws : Workspace.t option;
   (* ---- the current fault set ---- *)
-  faulty : bool array;  (* per node *)
+  faulty : Fa.Byte.t;  (* per node, 0/1 *)
   nk_faults : (int, int) Hashtbl.t;  (* necklace rep -> faulty nodes on it *)
   mutable fault_count : int;
   mutable live_nodes : int;  (* nodes on fault-free necklaces *)
   (* ---- B* state, all node-level (index-free, so splices never
-     renumber anything) ---- *)
-  in_bstar : bool array;
+     renumber anything); membership is [dist >= 0] ---- *)
   dist : int array;  (* BFS distance from root; -1 outside B* *)
   successor : int array;  (* ring successor map; -1 outside B* *)
   mutable root : int;  (* -1 when B* is empty *)
   mutable bsize : int;
   mutable ecc : int;
-  (* ---- derived necklace structure, keyed by representative ---- *)
-  chosen : int array;  (* rep -> lex-min (dist, node); -1 if not a live rep *)
-  bucket_head : int array;  (* label w -> first child rep, -1 *)
-  bucket_next : int array;  (* rep -> next child rep in its label bucket *)
+  (* ---- derived necklace structure, and its per-event stamps ---- *)
+  nk : Fa.t;
+      (* three slots per representative r, side by side so that one
+         necklace touch is one cache miss: 3r, its chosen node (the
+         lex-min (dist, node); -1 if r is not a B* rep); 3r+1, the next
+         child rep in its label bucket; 3r+2, its mark stamp (stamp when
+         marked this event, -stamp when marked and to be rescanned) *)
+  wb : Fa.t;
+      (* two slots per label w: 2w, the bucket's first child rep (-1);
+         2w+1, the stamp when the bucket was made dirty *)
   (* ---- ecc maintenance ---- *)
   mutable hist : int array;  (* hist.(k) = members at distance k *)
   (* ---- per-event scratch (epoch-stamped, never cleared wholesale) ---- *)
   mutable stamp : int;
   aff_stamp : int array;  (* node -> stamp when invalidated this event *)
   set_stamp : int array;  (* node -> stamp when (re)settled this event *)
-  nk_stamp : int array;  (* rep -> stamp when its necklace is marked *)
-  w_stamp : int array;  (* label -> stamp when its bucket is dirty *)
   cand : int array;  (* node -> tentative distance during repair *)
   queue : vec;
   affected : vec;
@@ -83,7 +89,21 @@ type t = {
   mutable c_unchanged : int;
   mutable c_affected : int;
   mutable c_last_affected : int;
+  mutable c_scanned : int;
+  mutable c_last_scanned : int;
+  mutable ev_scanned : int;  (* rescan visits in the current event *)
 }
+
+let[@inline] chosen t r = t.nk.{3 * r}
+let[@inline] set_chosen t r y = t.nk.{3 * r} <- y
+let[@inline] next t r = t.nk.{(3 * r) + 1}
+let[@inline] set_next t r s = t.nk.{(3 * r) + 1} <- s
+let[@inline] nk_stamp t r = t.nk.{(3 * r) + 2}
+let[@inline] set_nk_stamp t r s = t.nk.{(3 * r) + 2} <- s
+let[@inline] head t w = t.wb.{2 * w}
+let[@inline] set_head t w r = t.wb.{2 * w} <- r
+let[@inline] w_stamp t w = t.wb.{(2 * w) + 1}
+let[@inline] set_w_stamp t w s = t.wb.{(2 * w) + 1} <- s
 
 let params t = t.p
 let size t = t.bsize
@@ -91,10 +111,10 @@ let root t = t.root
 let ecc t = t.ecc
 let ring_length t = t.bsize
 let is_empty t = t.bsize = 0
-let in_bstar t v = t.in_bstar.(v)
+let in_bstar t v = t.dist.(v) >= 0
 let dist t v = t.dist.(v)
 let successor t v = t.successor.(v)
-let is_faulty t v = t.faulty.(v)
+let is_faulty t v = t.faulty.{v} <> 0
 let fault_count t = t.fault_count
 
 let stats t =
@@ -108,12 +128,14 @@ let stats t =
     unchanged = t.c_unchanged;
     affected_nodes = t.c_affected;
     last_affected = t.c_last_affected;
+    scanned = t.c_scanned;
+    last_scanned = t.c_last_scanned;
   }
 
 let current_faults t =
   let acc = ref [] in
   for v = t.p.W.size - 1 downto 0 do
-    if t.faulty.(v) then acc := v :: !acc
+    if t.faulty.{v} <> 0 then acc := v :: !acc
   done;
   !acc
 
@@ -165,76 +187,59 @@ let bq_reset t =
 (* ------------------------------------------------------------------ *)
 (* full recompute: initialization and the safety-net fallback          *)
 
+(* No representative has a chosen node, every bucket is empty. *)
+let clear_buckets t =
+  for r = 0 to t.p.W.size - 1 do
+    set_chosen t r (-1)
+  done;
+  for w = 0 to t.p.W.stride - 1 do
+    set_head t w (-1)
+  done
+
 let set_empty t =
   let sz = t.p.W.size in
-  Array.fill t.in_bstar 0 sz false;
   Array.fill t.dist 0 sz (-1);
   Array.fill t.successor 0 sz (-1);
-  Array.fill t.chosen 0 sz (-1);
-  Array.fill t.bucket_head 0 (sz / t.p.W.d) (-1);
+  clear_buckets t;
   Array.fill t.hist 0 (Array.length t.hist) 0;
   t.root <- -1;
   t.bsize <- 0;
   t.ecc <- 0
 
 (* Rebuild every Live-owned structure from a finished [Embed.t].  The
-   embed's arrays may alias the shared workspace, so everything is
-   copied out: Live's arrays must survive the workspace's next use. *)
+   embed's arrays are off-heap ({!Graphlib.Flatarr}) and may alias the
+   workspace, so everything is copied out: Live's arrays must survive
+   the workspace's next use. *)
 let load t (e : Embed.t) =
   let p = t.p in
-  let sz = p.W.size in
   let d = p.W.d in
-  let stride = sz / d in
   let b = e.Embed.bstar in
-  (* The pipeline's arrays are off-heap ({!Graphlib.Flatarr}) and may
-     alias the workspace; copy them element-wise into Live's heap
-     arrays. *)
-  let in_bstar_flags = b.Bstar.in_bstar in
-  for v = 0 to sz - 1 do
-    t.in_bstar.(v) <- in_bstar_flags.{v} <> 0
-  done;
   let tree = e.Embed.modified.Spanning.tree in
   Graphlib.Flatarr.blit_to_array tree.Spanning.dist t.dist;
   Graphlib.Flatarr.blit_to_array e.Embed.successor t.successor;
   t.root <- b.Bstar.root;
   t.bsize <- b.Bstar.size;
   t.ecc <- tree.Spanning.ecc;
-  Array.fill t.chosen 0 sz (-1);
-  Array.fill t.bucket_head 0 stride (-1);
   ensure_hist t t.ecc;
   Array.fill t.hist 0 (Array.length t.hist) 0;
-  let root_rep = Nk.canonical p t.root in
-  t.stamp <- t.stamp + 1;
-  let stamp = t.stamp in
-  (* One ascending sweep: the first unseen B* node of each necklace is
-     its representative; walking the necklace from it yields the
-     lexicographic (dist, node) minimum — the same [chosen] the batch
-     pipeline's ascending scan produces. *)
-  for v = 0 to sz - 1 do
-    if t.in_bstar.(v) then begin
-      if t.dist.(v) < 0 then
-        (* stale workspace distance on a node the BFS did reach is
-           impossible; normalize anyway for the non-member sweep below *)
-        ()
-      else hist_inc t t.dist.(v);
-      if t.aff_stamp.(v) <> stamp then begin
-        (* v is the representative of an unseen necklace *)
-        let best = ref v in
-        Nk.iter_nodes_from p v (fun y ->
-            t.aff_stamp.(y) <- stamp;
-            if
-              t.dist.(y) < t.dist.(!best)
-              || (t.dist.(y) = t.dist.(!best) && y < !best)
-            then best := y);
-        t.chosen.(v) <- !best;
-        if v <> root_rep then begin
-          let w = !best / d in
-          t.bucket_next.(v) <- t.bucket_head.(w);
-          t.bucket_head.(w) <- v
-        end
-      end
+  let in_bstar = b.Bstar.in_bstar in
+  for v = 0 to p.W.size - 1 do
+    if in_bstar.{v} <> 0 then hist_inc t t.dist.(v) else t.dist.(v) <- -1
+  done;
+  (* The tree's chosen node per necklace is the same lexicographic
+     (dist, node) minimum Live maintains; link every non-root necklace
+     into the bucket of its label. *)
+  clear_buckets t;
+  let reps = tree.Spanning.adj.Adjacency.reps in
+  let chosen = tree.Spanning.chosen in
+  for i = 0 to Array.length reps - 1 do
+    let r = reps.(i) and y = chosen.{i} in
+    set_chosen t r y;
+    if i <> tree.Spanning.root_idx then begin
+      let w = y / d in
+      set_next t r (head t w);
+      set_head t w r
     end
-    else t.dist.(v) <- -1
   done
 
 let recompute t =
@@ -248,28 +253,22 @@ let recompute t =
 
 (* ------------------------------------------------------------------ *)
 (* the derived-structure patch: recompute chosen / labels / D-edges of
-   exactly the necklaces the BFS repair touched                         *)
-
-let mark_necklace t r =
-  if t.nk_stamp.(r) <> t.stamp then begin
-    t.nk_stamp.(r) <- t.stamp;
-    vec_push t.marked r
-  end
+   exactly the necklaces and buckets the BFS repair touched            *)
 
 let dirty_bucket t w =
-  if t.w_stamp.(w) <> t.stamp then begin
-    t.w_stamp.(w) <- t.stamp;
+  if w_stamp t w <> t.stamp then begin
+    set_w_stamp t w t.stamp;
     vec_push t.dirty w
   end
 
 let bucket_unlink t w r =
-  if t.bucket_head.(w) = r then t.bucket_head.(w) <- t.bucket_next.(r)
+  if head t w = r then set_head t w (next t r)
   else begin
-    let c = ref t.bucket_head.(w) in
-    while !c >= 0 && t.bucket_next.(!c) <> r do
-      c := t.bucket_next.(!c)
+    let c = ref (head t w) in
+    while !c >= 0 && next t !c <> r do
+      c := next t !c
     done;
-    if !c >= 0 then t.bucket_next.(!c) <- t.bucket_next.(r)
+    if !c >= 0 then set_next t !c (next t r)
   end
 
 (* Minimal live predecessor one level up — the batch pipeline's
@@ -278,75 +277,79 @@ let rec find_parent t stride d pre dv a =
   if a = d then -1
   else
     let u = (a * stride) + pre in
-    if t.in_bstar.(u) && t.dist.(u) = dv - 1 then u
-    else find_parent t stride d pre dv (a + 1)
+    let du = t.dist.(u) in
+    if du >= 0 && du = dv - 1 then u else find_parent t stride d pre dv (a + 1)
 
-let rec exit_scan t stride d w rep a =
-  if a = d then -1
-  else
-    let x = (a * stride) + w in
-    if t.in_bstar.(x) && Nk.canonical t.p x = rep then x
-    else exit_scan t stride d w rep (a + 1)
+(* Is [y] reached before [z]: the lexicographic (dist, node) order the
+   batch pipeline's ascending scan picks chosen nodes by. *)
+let[@inline] earlier t y z =
+  let dy = t.dist.(y) and dz = t.dist.(z) in
+  dy < dz || (dy = dz && y < z)
 
-let rec entry_scan t d w rep b =
-  if b = d then -1
-  else
-    let x = (w * d) + b in
-    if t.in_bstar.(x) && Nk.canonical t.p x = rep then x
-    else entry_scan t d w rep (b + 1)
+(* The chosen node of the B* necklace through [start]: the earliest of
+   its rotations from [y] on, [best] so far.  Counts its visits. *)
+let rec lexmin t start y best =
+  t.ev_scanned <- t.ev_scanned + 1;
+  let best = if earlier t y best then y else best in
+  let next = W.rotl t.p y in
+  if next = start then best else lexmin t start next best
 
 exception Fallback
 
-(* Patch [chosen] / bucket membership / succ overrides for every
-   necklace containing a changed node or a successor of one.  Raises
-   [Fallback] if a height-one invariant check fails (never on a
-   well-formed state; the caller then runs the full recompute). *)
-let patch_derived t =
+(* Patch [chosen] / bucket membership / succ overrides after the BFS
+   repair.  [grew] says which way distances moved: a fault only grows
+   them (or drops nodes), a repair only shrinks them (or adds a whole
+   necklace).  Raises [Fallback] if a height-one invariant check fails
+   (never on a well-formed state; the caller then runs the full
+   recompute). *)
+let patch_derived t ~grew =
   let p = t.p in
   let d = p.W.d in
-  let stride = p.W.size / d in
+  let stride = p.W.stride in
   let root_rep = Nk.canonical p t.root in
+  let stamp = t.stamp in
   vec_clear t.marked;
   vec_clear t.dirty;
-  (* necklaces of changed nodes, and of their B* successors (whose
-     chosen's parent pointer may silently retarget) *)
+  t.ev_scanned <- 0;
   for i = 0 to t.changed.len - 1 do
     let c = t.changed.buf.(i) in
-    mark_necklace t (Nk.canonical p c);
-    let sw = c mod stride * d in
-    for b = 0 to d - 1 do
-      let s = sw + b in
-      if t.in_bstar.(s) then mark_necklace t (Nk.canonical p s)
-    done
+    (* A B* successor s of c has label prefix s = suffix c, and c is a
+       candidate T' parent of exactly the chosen nodes with that
+       label: rebuilding that one bucket re-finds their parents. *)
+    dirty_bucket t (c mod stride);
+    let r = Nk.canonical p c in
+    if nk_stamp t r <> stamp && nk_stamp t r <> -stamp then begin
+      (* first mark: leave the old bucket; a necklace new to B* has no
+         chosen node yet and is rescanned *)
+      let y = chosen t r in
+      if y >= 0 && r <> root_rep then begin
+        bucket_unlink t (y / d) r;
+        dirty_bucket t (y / d)
+      end;
+      set_nk_stamp t r (if y < 0 then -stamp else stamp);
+      vec_push t.marked r
+    end;
+    (* Update chosen from c.  Grown distances cannot beat the chosen
+       node, so only its own move forces a rescan; shrunk ones can,
+       and the chosen node shrinks no more than the winner. *)
+    if nk_stamp t r = stamp then
+      if grew then begin
+        if c = chosen t r then set_nk_stamp t r (-stamp)
+      end
+      else if earlier t c (chosen t r) then set_chosen t r c
   done;
   for i = 0 to t.marked.len - 1 do
     let r = t.marked.buf.(i) in
-    let old_chosen = t.chosen.(r) in
-    if old_chosen >= 0 && r <> root_rep then begin
-      let old_w = old_chosen / d in
-      bucket_unlink t old_w r;
-      dirty_bucket t old_w
-    end;
-    if t.in_bstar.(r) then begin
-      let best = (ref r [@lint.allow "R7 one chosen-scan ref per marked necklace"]) in
-      Nk.iter_nodes_from p r
-        ((fun y ->
-           if
-             t.dist.(y) < t.dist.(!best)
-             || (t.dist.(y) = t.dist.(!best) && y < !best)
-           then best := y)
-        [@lint.allow
-          "R7 necklace-iterator callback: one closure per marked necklace, \
-           amortized over its <= w nodes"]);
-      t.chosen.(r) <- !best;
+    if t.dist.(r) < 0 then set_chosen t r (-1)
+    else begin
+      if nk_stamp t r = -stamp then set_chosen t r (lexmin t r r r);
       if r <> root_rep then begin
-        let w = !best / d in
-        t.bucket_next.(r) <- t.bucket_head.(w);
-        t.bucket_head.(w) <- r;
+        let w = chosen t r / d in
+        set_next t r (head t w);
+        set_head t w r;
         dirty_bucket t w
       end
     end
-    else t.chosen.(r) <- -1
   done;
   (* rebuild every dirty bucket: reset the suffix-w successor entries to
      the necklace rotation, then rewrite the sorted cyclic D-edges *)
@@ -354,28 +357,29 @@ let patch_derived t =
     let w = t.dirty.buf.(i) in
     for a = 0 to d - 1 do
       let x = (a * stride) + w in
-      if t.in_bstar.(x) then t.successor.(x) <- (x mod stride * d) + (x / stride)
+      if t.dist.(x) >= 0 then t.successor.(x) <- W.rotl p x
     done;
     vec_clear t.members;
-    let parent_rep =
+    (* Siblings wα, wβ share their predecessors and hence their
+       distance, so every member's T' parent is the same node αw. *)
+    let parent =
       (ref (-1) [@lint.allow "R7 one parent-consensus ref per dirty bucket"])
     in
     let c =
-      (ref t.bucket_head.(w) [@lint.allow "R7 one bucket-walk cursor per dirty bucket"])
+      (ref (head t w) [@lint.allow "R7 one bucket-walk cursor per dirty bucket"])
     in
     while !c >= 0 do
       let r = !c in
       vec_push t.members r;
-      let y = t.chosen.(r) in
-      let py = find_parent t stride d (y / d) t.dist.(y) 0 in
+      let py = find_parent t stride d w t.dist.(chosen t r) 0 in
       if py < 0 then raise Fallback;
-      let pr = Nk.canonical p py in
-      if !parent_rep < 0 then parent_rep := pr
-      else if !parent_rep <> pr then raise Fallback;
-      c := t.bucket_next.(r)
+      if !parent < 0 then parent := py else if !parent <> py then raise Fallback;
+      c := next t r
     done;
     if t.members.len > 0 then begin
-      vec_push t.members !parent_rep;
+      let py = !parent in
+      let pr = Nk.canonical p py in
+      vec_push t.members pr;
       (* insertion sort ascending by representative — the same order as
          the batch pipeline's ascending-necklace-index sort *)
       let m = t.members.buf in
@@ -388,11 +392,15 @@ let patch_derived t =
         done;
         m.(!j + 1) <- x
       done;
+      (* A necklace holds at most one node with suffix w (its exit)
+         and one with prefix w (its entry).  A child's entry is its
+         chosen node Y = wβ and its exit the rotation βw; the parent's
+         exit is αw and its entry the rotation wα. *)
       let k = t.members.len in
       for i = 0 to k - 1 do
-        let exit = exit_scan t stride d w m.(i) 0 in
-        let entry = entry_scan t d w m.((i + 1) mod k) 0 in
-        if exit < 0 || entry < 0 then raise Fallback;
+        let x = m.(i) and z = m.((i + 1) mod k) in
+        let exit = if x = pr then py else ((chosen t x - (w * d)) * stride) + w in
+        let entry = if z = pr then W.rotl p py else chosen t z in
         t.successor.(exit) <- entry
       done
     end
@@ -406,14 +414,14 @@ let rec supported t stride d pre dv a =
   if a = d then false
   else
     let u = (a * stride) + pre in
-    if t.in_bstar.(u) && t.aff_stamp.(u) <> t.stamp && t.dist.(u) = dv - 1 then
-      true
+    let du = t.dist.(u) in
+    if du >= 0 && t.aff_stamp.(u) <> t.stamp && du = dv - 1 then true
     else supported t stride d pre dv (a + 1)
 
 let remove_necklace t rep =
   let p = t.p in
   let d = p.W.d in
-  let stride = p.W.size / d in
+  let stride = p.W.stride in
   t.stamp <- t.stamp + 1;
   vec_clear t.queue;
   vec_clear t.affected;
@@ -421,7 +429,6 @@ let remove_necklace t rep =
   (* 1. drop the necklace's nodes *)
   Nk.iter_nodes_from p rep
     ((fun y ->
-       t.in_bstar.(y) <- false;
        hist_dec t t.dist.(y);
        t.dist.(y) <- -1;
        t.successor.(y) <- -1;
@@ -439,7 +446,7 @@ let remove_necklace t rep =
     let sw = y mod stride * d in
     for b = 0 to d - 1 do
       let z = sw + b in
-      if t.in_bstar.(z) then vec_push t.queue z
+      if t.dist.(z) >= 0 then vec_push t.queue z
     done
   done;
   let qi = (ref 0 [@lint.allow "R7 one invalidation-queue cursor per event"]) in
@@ -447,7 +454,7 @@ let remove_necklace t rep =
     let z = t.queue.buf.(!qi) in
     incr qi;
     if
-      t.in_bstar.(z) && t.aff_stamp.(z) <> t.stamp && z <> t.root
+      t.dist.(z) >= 0 && t.aff_stamp.(z) <> t.stamp && z <> t.root
       && not (supported t stride d (z / d) t.dist.(z) 0)
     then begin
       t.aff_stamp.(z) <- t.stamp;
@@ -455,7 +462,7 @@ let remove_necklace t rep =
       let sw = z mod stride * d in
       for b = 0 to d - 1 do
         let s = sw + b in
-        if t.in_bstar.(s) && t.aff_stamp.(s) <> t.stamp then vec_push t.queue s
+        if t.dist.(s) >= 0 && t.aff_stamp.(s) <> t.stamp then vec_push t.queue s
       done
     end
   done;
@@ -471,7 +478,7 @@ let remove_necklace t rep =
     in
     for a = 0 to d - 1 do
       let u = (a * stride) + pre in
-      if t.in_bstar.(u) && t.aff_stamp.(u) <> t.stamp && t.dist.(u) + 1 < !best
+      if t.dist.(u) >= 0 && t.aff_stamp.(u) <> t.stamp && t.dist.(u) + 1 < !best
       then best := t.dist.(u) + 1
     done;
     t.cand.(v) <- !best;
@@ -499,7 +506,7 @@ let remove_necklace t rep =
         for b = 0 to d - 1 do
           let s = sw + b in
           if
-            t.in_bstar.(s) && t.aff_stamp.(s) = t.stamp
+            t.dist.(s) >= 0 && t.aff_stamp.(s) = t.stamp
             && t.set_stamp.(s) <> t.stamp
             && t.cand.(s) > !dv + 1
           then begin
@@ -516,7 +523,6 @@ let remove_necklace t rep =
   for i = 0 to t.affected.len - 1 do
     let v = t.affected.buf.(i) in
     if t.set_stamp.(v) <> t.stamp then begin
-      t.in_bstar.(v) <- false;
       hist_dec t t.dist.(v);
       t.dist.(v) <- -1;
       t.successor.(v) <- -1;
@@ -534,14 +540,14 @@ let remove_necklace t rep =
 let adjacent_to_bstar t rep =
   let p = t.p in
   let d = p.W.d in
-  let stride = p.W.size / d in
+  let stride = p.W.stride in
   let hit = ref false in
   Nk.iter_nodes_from p rep (fun y ->
       if not !hit then begin
         let pre = y / d in
         let sw = y mod stride * d in
         for a = 0 to d - 1 do
-          if t.in_bstar.((a * stride) + pre) || t.in_bstar.(sw + a) then
+          if t.dist.((a * stride) + pre) >= 0 || t.dist.(sw + a) >= 0 then
             hit := true
         done
       end);
@@ -550,7 +556,7 @@ let adjacent_to_bstar t rep =
 let insert_necklace t rep =
   let p = t.p in
   let d = p.W.d in
-  let stride = p.W.size / d in
+  let stride = p.W.stride in
   t.stamp <- t.stamp + 1;
   vec_clear t.changed;
   bq_reset t;
@@ -562,7 +568,7 @@ let insert_necklace t rep =
       let best = ref max_int in
       for a = 0 to d - 1 do
         let u = (a * stride) + pre in
-        if t.in_bstar.(u) && t.dist.(u) + 1 < !best then best := t.dist.(u) + 1
+        if t.dist.(u) >= 0 && t.dist.(u) + 1 < !best then best := t.dist.(u) + 1
       done;
       t.cand.(y) <- !best;
       if !best < max_int then bq_push t !best y);
@@ -578,14 +584,13 @@ let insert_necklace t rep =
         && t.cand.(v) = !dv
       in
       let relax_existing =
-        t.aff_stamp.(v) <> t.stamp && t.in_bstar.(v) && t.dist.(v) = !dv
+        t.aff_stamp.(v) <> t.stamp && t.dist.(v) = !dv
         && t.set_stamp.(v) <> t.stamp
       in
       if settle_revived then begin
         t.set_stamp.(v) <- t.stamp;
-        t.in_bstar.(v) <- true;
         t.dist.(v) <- !dv;
-        t.successor.(v) <- (v mod stride * d) + (v / stride);
+        t.successor.(v) <- W.rotl p v;
         t.bsize <- t.bsize + 1;
         hist_inc t !dv;
         vec_push t.changed v
@@ -601,7 +606,7 @@ let insert_necklace t rep =
               bq_push t (!dv + 1) s
             end
           end
-          else if t.in_bstar.(s) && t.dist.(s) > !dv + 1 then begin
+          else if t.dist.(s) > !dv + 1 then begin
             (* a strictly shorter path through the revived necklace:
                improvements arrive in ascending level order, so each
                existing node moves at most once *)
@@ -627,19 +632,21 @@ let insert_necklace t rep =
 let nk_fault_count t rep =
   match Hashtbl.find_opt t.nk_faults rep with Some c -> c | None -> 0
 
-let finish_patch t =
-  match patch_derived t with
+let finish_patch t ~grew =
+  match patch_derived t ~grew with
   | () ->
       t.c_patched <- t.c_patched + 1;
       t.c_affected <- t.c_affected + t.changed.len;
       t.c_last_affected <- t.changed.len;
+      t.c_scanned <- t.c_scanned + t.ev_scanned;
+      t.c_last_scanned <- t.ev_scanned;
       Patched
   | exception Fallback ->
       recompute t;
       Recomputed
 
 let do_fault t v =
-  t.faulty.(v) <- true;
+  t.faulty.{v} <- 1;
   t.fault_count <- t.fault_count + 1;
   let rep = Nk.canonical t.p v in
   let c = nk_fault_count t rep in
@@ -651,7 +658,7 @@ let do_fault t v =
   end
   else begin
     t.live_nodes <- t.live_nodes - Nk.length t.p rep;
-    if not t.in_bstar.(rep) then begin
+    if t.dist.(rep) < 0 then begin
       (* a live-but-excluded necklace died: B* was strictly larger than
          every excluded component and those only shrank, so B*, its
          root and its distances are all unchanged *)
@@ -670,12 +677,12 @@ let do_fault t v =
         recompute t;
         Recomputed
       end
-      else finish_patch t
+      else finish_patch t ~grew:true
     end
   end
 
 let do_repair t v =
-  t.faulty.(v) <- false;
+  t.faulty.{v} <- 0;
   t.fault_count <- t.fault_count - 1;
   let rep = Nk.canonical t.p v in
   let c = nk_fault_count t rep in
@@ -715,7 +722,7 @@ let do_repair t v =
       end
     else
       match insert_necklace t rep with
-      | () -> finish_patch t
+      | () -> finish_patch t ~grew:false
       | exception Fallback ->
           recompute t;
           Recomputed
@@ -730,8 +737,8 @@ let apply t ev =
   match ev with
   | Fault v when v < 0 || v >= sz -> reject (Out_of_range v)
   | Repair v when v < 0 || v >= sz -> reject (Out_of_range v)
-  | Fault v when t.faulty.(v) -> reject (Already_faulty v)
-  | Repair v when not t.faulty.(v) -> reject (Not_faulty v)
+  | Fault v when is_faulty t v -> reject (Already_faulty v)
+  | Repair v when not (is_faulty t v) -> reject (Not_faulty v)
   | Fault v ->
       t.c_events <- t.c_events + 1;
       t.c_faults <- t.c_faults + 1;
@@ -751,25 +758,23 @@ let create ?root_hint ?ws p ~faults =
       p;
       root_hint;
       ws;
-      faulty = Array.make sz false;
+      faulty = Fa.Byte.make sz 0;
       nk_faults = Hashtbl.create 64;
       fault_count = 0;
       live_nodes = sz;
-      in_bstar = Array.make sz false;
       dist = Array.make sz (-1);
       successor = Array.make sz (-1);
       root = -1;
       bsize = 0;
       ecc = 0;
-      chosen = Array.make sz (-1);
-      bucket_head = Array.make (sz / p.W.d) (-1);
-      bucket_next = Array.make sz (-1);
+      (* every stamp starts at 0; [load]/[set_empty] below clear the
+         chosen and bucket-head slots *)
+      nk = Fa.make (3 * sz) 0;
+      wb = Fa.make (2 * p.W.stride) 0;
       hist = Array.make 64 0;
       stamp = 0;
       aff_stamp = Array.make sz 0;
       set_stamp = Array.make sz 0;
-      nk_stamp = Array.make sz 0;
-      w_stamp = Array.make (sz / p.W.d) 0;
       cand = Array.make sz max_int;
       queue = vec_create ();
       affected = vec_create ();
@@ -788,13 +793,16 @@ let create ?root_hint ?ws p ~faults =
       c_unchanged = 0;
       c_affected = 0;
       c_last_affected = 0;
+      c_scanned = 0;
+      c_last_scanned = 0;
+      ev_scanned = 0;
     }
   in
   List.iter
     (fun v ->
       if v < 0 || v >= sz then invalid_arg "Ffc.Live.create: fault out of range";
-      if not t.faulty.(v) then begin
-        t.faulty.(v) <- true;
+      if not (is_faulty t v) then begin
+        t.faulty.{v} <- 1;
         t.fault_count <- t.fault_count + 1;
         let rep = Nk.canonical p v in
         let c = nk_fault_count t rep in

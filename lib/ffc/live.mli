@@ -14,9 +14,10 @@
     - a repair grafts the revived necklace back, relaxing any shortcuts
       it opens through existing levels;
     - the necklace-level structure (chosen nodes Y, labels, T_w
-      buckets, the cyclic D-edge overrides of §2.3) is then rebuilt for
-      exactly the necklaces whose nodes — or whose parent pointers —
-      moved.
+      buckets, the cyclic D-edge overrides of §2.3) is then patched: a
+      necklace's Y is updated from its changed nodes, and a T_w bucket
+      is rebuilt when a member joined or left it or a changed node has
+      suffix w — the only nodes that can be its T′ parent.
 
     After every event the engine's state is {e bit-identical} to a full
     {!Embed.embed} recompute on the current fault set: same membership,
@@ -27,8 +28,9 @@
     B\u{2217} that stops being the unique largest component — fall back to
     the batch pipeline ({!outcome} reports which path ran).
 
-    On B(2,22) a typical event touches a few dozen nodes: microseconds
-    against the ~1.7 s batch recompute (see [bench live]).
+    A typical event touches a few dozen nodes, so it costs a small
+    fraction of one batch recompute (EXPERIMENTS.md "Live repair under
+    churn" has the figures).
 
     A [Live.t] owns all of its arrays; the optional workspace is used
     only for the embedded batch fallback, so one [Live.t] plus one
@@ -59,6 +61,11 @@ type stats = {
   affected_nodes : int;
       (** cumulative membership/distance changes across patched events *)
   last_affected : int;  (** same, for the most recent patched event *)
+  scanned : int;
+      (** cumulative necklace nodes visited by rescans for a chosen node
+          Y across patched events; a necklace is rescanned only when
+          its old Y moved or it rejoined B\u{2217} *)
+  last_scanned : int;  (** same, for the most recent patched event *)
 }
 
 type t

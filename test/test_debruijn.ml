@@ -65,6 +65,35 @@ let test_rotations () =
   check_int "full rotation identity" x (W.rotl_by p34 4 x);
   check_int "rotl_by 0" x (W.rotl_by p34 0 x)
 
+let test_rotl_closed_form () =
+  (* Both forms of rotl (shift/mask for d a power of two, one division
+     otherwise) against the definition (x mod dⁿ⁻¹)·d + x / dⁿ⁻¹, and
+     least_rotation against the minimum of rotl_by, on every word; the
+     range checks stay. *)
+  List.iter
+    (fun (d, n) ->
+      let p = W.params ~d ~n in
+      let top = p.W.size / d in
+      for x = 0 to p.W.size - 1 do
+        if W.rotl p x <> (x mod top * d) + (x / top) then
+          Alcotest.failf "B(%d,%d): rotl %d = %d" d n x (W.rotl p x);
+        let least = List.fold_left min x (List.init n (fun i -> W.rotl_by p i x)) in
+        if W.least_rotation p x <> least then
+          Alcotest.failf "B(%d,%d): least_rotation %d = %d" d n x (W.least_rotation p x)
+      done;
+      List.iter
+        (fun x ->
+          Alcotest.check_raises
+            (Printf.sprintf "B(%d,%d): rotl %d raises" d n x)
+            (Invalid_argument "Word: code out of range")
+            (fun () -> ignore (W.rotl p x));
+          Alcotest.check_raises
+            (Printf.sprintf "B(%d,%d): least_rotation %d raises" d n x)
+            (Invalid_argument "Word: code out of range")
+            (fun () -> ignore (W.least_rotation p x)))
+        [ -1; p.W.size; max_int ])
+    [ (2, 1); (2, 5); (2, 12); (3, 1); (3, 7); (4, 6); (5, 5); (6, 4); (8, 4); (10, 3) ]
+
 let test_weight () =
   let x = W.of_string p34 "1120" in
   check_int "wt(1120)" 4 (W.weight p34 x);
@@ -476,6 +505,7 @@ let () =
           Alcotest.test_case "digits" `Quick test_digits;
           Alcotest.test_case "cons/snoc" `Quick test_cons_snoc;
           Alcotest.test_case "rotations" `Quick test_rotations;
+          Alcotest.test_case "rotl closed form" `Quick test_rotl_closed_form;
           Alcotest.test_case "weight" `Quick test_weight;
           Alcotest.test_case "period" `Quick test_period;
           Alcotest.test_case "constant/alternating" `Quick test_constant_alternating;

@@ -19,8 +19,8 @@ let check_bool = Alcotest.(check bool)
 (* ------------------------------------------------------------------ *)
 (* the oracle *)
 
-let oracle_agrees ?(materialize = true) (live : Lv.t) p faults =
-  match E.embed ~root_hint:1 p ~faults with
+let oracle_agrees ?(materialize = true) ?(root_hint = Some 1) (live : Lv.t) p faults =
+  match E.embed ?root_hint p ~faults with
   | None -> Lv.is_empty live
   | Some e ->
       let b = e.E.bstar in
@@ -40,10 +40,10 @@ let oracle_agrees ?(materialize = true) (live : Lv.t) p faults =
 
 (* One churn sequence: a birth-death chain around [target] outstanding
    faults, oracle-checked after every event.  Returns false on the
-   first divergence (or rejected event). *)
-let churn_agrees ?ws p ~seed ~events ~target =
+   first divergence (or rejected event), and the engine. *)
+let churn_run ?ws ?(root_hint = Some 1) p ~seed ~events ~target =
   let rng = Util.Rng.create seed in
-  let live = Lv.create ~root_hint:1 ?ws p ~faults:[] in
+  let live = Lv.create ?root_hint ?ws p ~faults:[] in
   let active = ref [] in
   let nf = ref 0 in
   let ok = ref true in
@@ -73,10 +73,13 @@ let churn_agrees ?ws p ~seed ~events ~target =
     (match Lv.apply live ev with
     | Ok _ -> ()
     | Error _ -> ok := false);
-    if !ok then ok := oracle_agrees live p !active;
+    if !ok then ok := oracle_agrees ~root_hint live p !active;
     incr e
   done;
-  !ok
+  (!ok, live)
+
+let churn_agrees ?ws ?root_hint p ~seed ~events ~target =
+  fst (churn_run ?ws ?root_hint p ~seed ~events ~target)
 
 (* ------------------------------------------------------------------ *)
 (* unit tests *)
@@ -154,6 +157,38 @@ let test_fault_far_from_root_patches () =
   | Error _ -> Alcotest.fail "repair rejected");
   check_bool "repaired state = oracle" true (oracle_agrees live p []);
   check_int "ring is Hamiltonian again" p.W.size (Lv.ring_length live)
+
+let test_repair_scans_revived_necklace () =
+  (* Fault then repair a necklace away from the root: the repair only
+     shrinks distances, so the only chosen-node rescan it needs is the
+     revived necklace's own. *)
+  let p = W.params ~d:2 ~n:8 in
+  let live = Lv.create ~root_hint:1 p ~faults:[] in
+  let v = W.of_string p "11010110" in
+  (match Lv.apply live (Lv.Fault v) with
+  | Ok Lv.Patched -> ()
+  | _ -> Alcotest.fail "expected a patched fault");
+  let before = (Lv.stats live).Lv.scanned in
+  (match Lv.apply live (Lv.Repair v) with
+  | Ok Lv.Patched -> ()
+  | _ -> Alcotest.fail "expected a patched repair");
+  let s = Lv.stats live in
+  check_bool "repaired state = oracle" true (oracle_agrees live p []);
+  check_bool "scans at most the revived necklace" true
+    (s.Lv.last_scanned <= Debruijn.Necklace.length p v);
+  check_int "scanned is cumulative" (before + s.Lv.last_scanned) s.Lv.scanned
+
+let test_churn_oracle_larger () =
+  (* The perfbench churn engine runs without a root hint: pin that mode
+     on instances past the qcheck sizes, every event oracle-checked. *)
+  List.iter
+    (fun (d, n, seed) ->
+      let p = W.params ~d ~n in
+      let ok, live = churn_run ~root_hint:None p ~seed ~events:200 ~target:4 in
+      let name = Printf.sprintf "B(%d,%d)" d n in
+      check_bool (name ^ " = batch recompute after every event") true ok;
+      check_bool (name ^ " patched at least once") true ((Lv.stats live).Lv.patched >= 1))
+    [ (2, 10, 11); (2, 12, 12); (3, 6, 13); (4, 5, 14) ]
 
 let test_empty_to_full_cycle () =
   (* Kill every necklace of B(2,2), then revive: the engine must pass
@@ -275,19 +310,20 @@ let qsuite =
       oneofl [ (2, 4); (2, 5); (2, 6); (2, 7); (3, 3); (3, 4); (4, 2); (4, 3); (5, 2) ]
       >>= fun (d, n) ->
       int_range 1 5 >>= fun target ->
-      int_range 0 1000000 >>= fun seed -> return (d, n, target, seed))
+      int_range 0 1000000 >>= fun seed ->
+      oneofl [ None; Some 1 ] >>= fun root_hint -> return (d, n, target, seed, root_hint))
   in
   let events = 25 in
   [
     Test.make ~name:"live churn = batch recompute after every event" ~count:120
-      (make scenario) (fun (d, n, target, seed) ->
+      (make scenario) (fun (d, n, target, seed, root_hint) ->
         let p = W.params ~d ~n in
-        churn_agrees p ~seed ~events ~target);
+        churn_agrees ~root_hint p ~seed ~events ~target);
     (* One workspace per (d, n), shared across the whole run: the
        engine's batch fallbacks must coexist with arena reuse. *)
     (let cache = Hashtbl.create 8 in
      Test.make ~name:"live churn with shared workspace = fresh" ~count:80
-       (make scenario) (fun (d, n, target, seed) ->
+       (make scenario) (fun (d, n, target, seed, root_hint) ->
          let p = W.params ~d ~n in
          let ws =
            match Hashtbl.find_opt cache (d, n) with
@@ -297,7 +333,7 @@ let qsuite =
                Hashtbl.add cache (d, n) ws;
                ws
          in
-         churn_agrees ~ws p ~seed ~events ~target));
+         churn_agrees ~ws ~root_hint p ~seed ~events ~target));
   ]
 
 let () =
@@ -312,6 +348,10 @@ let () =
           Alcotest.test_case "far fault takes the patched path" `Quick
             test_fault_far_from_root_patches;
           Alcotest.test_case "empty and back" `Quick test_empty_to_full_cycle;
+          Alcotest.test_case "repair scans only the revived necklace" `Quick
+            test_repair_scans_revived_necklace;
+          Alcotest.test_case "no-hint churn oracle at B(2,10..12), B(3,6), B(4,5)" `Quick
+            test_churn_oracle_larger;
           Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
         ] );
       ( "crash-paths",
